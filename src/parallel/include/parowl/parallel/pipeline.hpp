@@ -1,6 +1,8 @@
 #pragma once
 
+#include <functional>
 #include <optional>
+#include <span>
 
 #include "parowl/parallel/async_sim.hpp"
 #include "parowl/parallel/cluster.hpp"
@@ -80,6 +82,10 @@ struct ParallelOptions {
 
   /// Observability sinks/sampling, forwarded to ClusterOptions.
   obs::ObsOptions obs;
+
+  /// Inspection hook: when set, called once the executor has finished,
+  /// with every worker in id order, before the master-side merge.
+  std::function<void(std::span<const Worker* const>)> on_workers_done;
 };
 
 /// Outcome of a parallel run.

@@ -258,6 +258,11 @@ class Worker {
     return store_.size() - base_size_;
   }
 
+  /// The result triples themselves: the store log beyond the initial load.
+  [[nodiscard]] std::span<const rdf::Triple> results() const {
+    return std::span<const rdf::Triple>(store_.triples()).subspan(base_size_);
+  }
+
   /// Unique derivations credited per rule, accumulated across rounds
   /// (forward strategy only; empty under query-driven workers).
   [[nodiscard]] const std::vector<std::size_t>& rule_firings() const {
@@ -311,5 +316,12 @@ class Worker {
   /// pending_ (+ outbox when logging), ship it.
   void ship_async(Batch batch, std::vector<SentRecord>* sent);
 };
+
+/// Append every worker's result count to `per_worker` and return the size
+/// of the results' union: the inputs to the OR metric
+/// (partition::output_replication).
+[[nodiscard]] std::size_t tally_results(
+    std::span<const std::unique_ptr<Worker>> workers,
+    std::vector<std::size_t>& per_worker);
 
 }  // namespace parowl::parallel

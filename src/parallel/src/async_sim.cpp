@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <unordered_set>
 
 #include "parowl/obs/obs.hpp"
 
@@ -181,15 +180,8 @@ AsyncResult AsyncSimulator::run() {
   }
 
   // Result-tuple union (same accounting as the round-based cluster).
-  std::unordered_set<rdf::Triple, rdf::TripleHash> union_results;
-  for (const auto& worker : workers_) {
-    result.results_per_partition.push_back(worker->result_size());
-    const auto& log = worker->store().triples();
-    for (std::size_t i = worker->base_size(); i < log.size(); ++i) {
-      union_results.insert(log[i]);
-    }
-  }
-  result.union_results = union_results.size();
+  result.union_results =
+      tally_results(workers_, result.results_per_partition);
   // First-class idle metric, matching the async cluster executors.
   PAROWL_COUNT("parallel.idle_ns",
                static_cast<std::uint64_t>(result.wait_seconds * 1e9));

@@ -9,7 +9,6 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
-#include <unordered_set>
 
 #include "parowl/obs/obs.hpp"
 #include "parowl/util/log.hpp"
@@ -34,8 +33,24 @@ constexpr std::uint32_t kRecoveryEpochGap = 1u << 20;
 
 /// Safety valve: consecutive full scheduler cycles in which *nothing*
 /// happened anywhere (no arrival, no evaluation, no steal, no token hop,
-/// no ack released) before the async executor declares a livelock.
+/// no ack released) before the async executor declares a livelock.  The
+/// threaded executor counts an idle poll only while the cluster-wide
+/// progress counter stands still and no worker is absorbing or evaluating.
 constexpr std::uint32_t kAsyncStallLimit = 10000;
+
+/// Counts a worker as busy for the guard's lifetime.
+class BusyGuard {
+ public:
+  explicit BusyGuard(std::atomic<std::uint32_t>& busy) : busy_(busy) {
+    busy_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  ~BusyGuard() { busy_.fetch_sub(1, std::memory_order_acq_rel); }
+  BusyGuard(const BusyGuard&) = delete;
+  BusyGuard& operator=(const BusyGuard&) = delete;
+
+ private:
+  std::atomic<std::uint32_t>& busy_;
+};
 
 }  // namespace
 
@@ -679,6 +694,10 @@ ClusterResult Cluster::run_async_threaded() {
       start_round_ > 0 ? start_round_ + kRecoveryEpochGap : 0;
   std::atomic<bool> terminated{n == 0};
   std::atomic<bool> stalled{false};
+  // Livelock detection is cluster-wide: a worker idling while a peer
+  // evaluates a long chunk is waiting, not stalled.
+  std::atomic<std::uint64_t> progress_count{0};
+  std::atomic<std::uint32_t> busy{0};
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::uint64_t> stolen_tuples{0};
   std::atomic<std::uint64_t> steal_derivations{0};
@@ -704,6 +723,7 @@ ClusterResult Cluster::run_async_threaded() {
         std::uint32_t probe_launch_epoch = epoch_base;
         bool initiator_dirty_since_launch = false;
         std::uint32_t my_stall = 0;
+        std::uint64_t progress_seen = 0;
 
         while (!terminated.load(std::memory_order_acquire) &&
                !stalled.load(std::memory_order_acquire)) {
@@ -713,6 +733,7 @@ ClusterResult Cluster::run_async_threaded() {
 
           {
             const std::scoped_lock lock(c.m);
+            const BusyGuard guard(busy);
             auto arrivals = worker.async_collect(&ack_board_);
             tokens = std::move(arrivals.tokens);
             if (arrivals.fresh > 0 || arrivals.batches > 0) {
@@ -768,6 +789,7 @@ ClusterResult Cluster::run_async_threaded() {
               {
                 const std::lock_guard<std::mutex> vlock(
                     ctl[victim]->m, std::adopt_lock);
+                const BusyGuard guard(busy);
                 Worker& vic = *workers_[victim];
                 if (vic.backlog() > ao.chunk) {
                   shard = vic.grant_steal(ao.steal_batch);
@@ -806,6 +828,7 @@ ClusterResult Cluster::run_async_threaded() {
           if (progress) {
             c.idle_polls = 0;
             my_stall = 0;
+            progress_count.fetch_add(1, std::memory_order_release);
           } else {
             obs::Span idle_span("parallel.idle", {{"worker", w}}, 100 + w);
             util::Stopwatch idle_watch;
@@ -820,7 +843,13 @@ ClusterResult Cluster::run_async_threaded() {
             }
             std::this_thread::yield();
             c.idle_seconds += idle_watch.elapsed_seconds();
-            if (++my_stall > kAsyncStallLimit) {
+            const std::uint64_t now =
+                progress_count.load(std::memory_order_acquire);
+            if (now != progress_seen) {
+              progress_seen = now;
+              my_stall = 0;
+            } else if (busy.load(std::memory_order_acquire) == 0 &&
+                       ++my_stall > kAsyncStallLimit) {
               stalled.store(true, std::memory_order_release);
             }
           }
@@ -914,8 +943,8 @@ void Cluster::finalize_async(ClusterResult& result, const AsyncStats& stats) {
   // Async runs have no per-round breakdown; the component totals are the
   // per-worker maxima (the parallel-makespan contribution of each
   // component), and sync_seconds is the idle analogue.
+  PAROWL_SPAN("parallel.finalize", {{"workers", workers_.size()}});
   result.async_stats = stats;
-  std::unordered_set<rdf::Triple, rdf::TripleHash> union_results;
   for (const auto& worker : workers_) {
     double reason_total = 0.0;
     double io_total = 0.0;
@@ -930,13 +959,9 @@ void Cluster::finalize_async(ClusterResult& result, const AsyncStats& stats) {
     result.aggregate_seconds =
         std::max(result.aggregate_seconds, aggregate_total);
     result.reason_seconds_per_worker.push_back(reason_total);
-    result.results_per_partition.push_back(worker->result_size());
-    const auto& log = worker->store().triples();
-    for (std::size_t i = worker->base_size(); i < log.size(); ++i) {
-      union_results.insert(log[i]);
-    }
   }
-  result.union_results = union_results.size();
+  result.union_results =
+      tally_results(workers_, result.results_per_partition);
   for (const double idle : stats.idle_seconds_per_worker) {
     result.sync_seconds = std::max(result.sync_seconds, idle);
   }
@@ -971,6 +996,7 @@ void Cluster::finalize_async(ClusterResult& result, const AsyncStats& stats) {
 }
 
 void Cluster::finalize(ClusterResult& result) {
+  PAROWL_SPAN("parallel.finalize", {{"workers", workers_.size()}});
   const NetworkModel& net = options_.network;
 
   // Per-round maxima and the simulated makespan.
@@ -1037,20 +1063,15 @@ void Cluster::finalize(ClusterResult& result) {
 
   // Per-worker reasoning totals (for predictive rebalancing) and the
   // result-tuple union for the OR metric.
-  std::unordered_set<rdf::Triple, rdf::TripleHash> union_results;
   for (const auto& worker : workers_) {
     double reason_total = 0.0;
     for (const RoundStats& rs : worker->rounds()) {
       reason_total += rs.reason_seconds;
     }
     result.reason_seconds_per_worker.push_back(reason_total);
-    result.results_per_partition.push_back(worker->result_size());
-    const auto& log = worker->store().triples();
-    for (std::size_t i = worker->base_size(); i < log.size(); ++i) {
-      union_results.insert(log[i]);
-    }
   }
-  result.union_results = union_results.size();
+  result.union_results =
+      tally_results(workers_, result.results_per_partition);
 
   // Fault-tolerance accounting.
   RunReport& rep = result.report;

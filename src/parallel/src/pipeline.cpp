@@ -1,9 +1,10 @@
 #include "parowl/parallel/pipeline.hpp"
 
-#include <cassert>
-#include <stdexcept>
+#include <algorithm>
+#include <exception>
 #include <memory>
-#include <unordered_set>
+#include <stdexcept>
+#include <thread>
 
 #include "parowl/obs/obs.hpp"
 #include "parowl/ontology/ontology.hpp"
@@ -29,6 +30,38 @@ struct Plan {
   std::vector<std::vector<rdf::Triple>> data_parts;
   std::vector<rdf::Triple> full_instance;
 };
+
+/// Load every worker's base, one thread per worker up to the core count:
+/// each worker owns its store, so the loads share nothing.  A load that
+/// throws (out of memory) is rethrown here once every thread has joined.
+template <typename Executor>
+void load_bases(Executor& executor, const std::vector<WorkerPlan>& workers) {
+  PAROWL_SPAN("parallel.load", {{"workers", workers.size()}});
+  const auto n = static_cast<std::uint32_t>(workers.size());
+  const std::uint32_t threads =
+      std::min(n, std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<std::exception_ptr> errors(threads);
+  {
+    std::vector<std::jthread> pool;
+    pool.reserve(threads);
+    for (std::uint32_t t = 0; t < threads; ++t) {
+      pool.emplace_back([&executor, &workers, &errors, n, threads, t] {
+        try {
+          for (std::uint32_t w = t; w < n; w += threads) {
+            executor.load(w, *workers[w].base);
+          }
+        } catch (...) {
+          errors[t] = std::current_exception();
+        }
+      });
+    }
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) {
+      std::rethrow_exception(error);
+    }
+  }
+}
 
 /// Misuse checks: these are programming errors in the caller, surfaced as
 /// exceptions because asserts vanish in release builds.
@@ -58,6 +91,7 @@ Plan make_plan(const rdf::TripleStore& store, const rdf::Dictionary& dict,
                const ontology::Vocabulary& vocab,
                const rules::CompiledRules& compiled,
                const ParallelOptions& options) {
+  PAROWL_SPAN("parallel.plan", {{"partitions", options.partitions}});
   Plan plan;
 
   if (options.approach == Approach::kDataPartition) {
@@ -158,11 +192,10 @@ ParallelResult parallel_materialize(const rdf::TripleStore& store,
 
   if (options.mode == ExecutionMode::kAsyncSimulated) {
     async.emplace(num_workers, options.network, options.faults);
-    for (std::uint32_t w = 0; w < num_workers; ++w) {
-      async->add_worker(std::move(plan.workers[w].rule_base),
-                        plan.workers[w].router, wopts);
-      async->load(w, *plan.workers[w].base);
+    for (WorkerPlan& wp : plan.workers) {
+      async->add_worker(std::move(wp.rule_base), wp.router, wopts);
     }
+    load_bases(*async, plan.workers);
     result.async = async->run();
     result.cluster.simulated_seconds = result.async->simulated_seconds;
     result.cluster.sync_seconds = result.async->wait_seconds;
@@ -190,53 +223,59 @@ ParallelResult parallel_materialize(const rdf::TripleStore& store,
     copts.async = options.async_exec;
     copts.obs = options.obs;
     cluster.emplace(*transport, copts);
-    for (std::uint32_t w = 0; w < num_workers; ++w) {
-      cluster->add_worker(std::move(plan.workers[w].rule_base),
-                          plan.workers[w].router, wopts);
-      cluster->load(w, *plan.workers[w].base);
+    for (WorkerPlan& wp : plan.workers) {
+      cluster->add_worker(std::move(wp.rule_base), wp.router, wopts);
     }
+    load_bases(*cluster, plan.workers);
     result.cluster = cluster->run();
     for (std::uint32_t w = 0; w < num_workers; ++w) {
       workers.push_back(&cluster->worker(w));
     }
   }
 
+  if (options.on_workers_done) {
+    options.on_workers_done(workers);
+  }
   result.output_replication = partition::output_replication(
       result.cluster.results_per_partition, result.cluster.union_results);
 
   // Merge: input ∪ schema ground facts ∪ all worker results (master-side
-  // aggregation; timed for the Fig. 2 breakdown).
-  util::Stopwatch merge_watch;
-  std::unordered_set<rdf::Triple, rdf::TripleHash> baseline(
-      store.triples().begin(), store.triples().end());
-  std::size_t inferred = 0;
-  std::unordered_set<rdf::Triple, rdf::TripleHash> seen;
-  auto count_new = [&](const rdf::Triple& t) {
-    if (!baseline.contains(t) && seen.insert(t).second) {
-      ++inferred;
+  // aggregation; timed for the Fig. 2 breakdown).  Every worker base is a
+  // subset of `store`, so only the ground facts and each worker's results
+  // can add anything, and the merged log keeps the order of inserting
+  // store, ground facts and every whole worker log in turn.
+  {
+    PAROWL_SPAN("parallel.merge", {{"workers", workers.size()}});
+    util::Stopwatch merge_watch;
+    if (options.build_merged) {
+      rdf::TripleStore& merged = result.merged.emplace(store);
+      merged.insert_all(compiled.ground_facts);
+      for (const Worker* worker : workers) {
+        merged.insert_all(worker->results());
+      }
+      result.inferred = merged.size() - store.size();
+    } else {
+      rdf::TripleSet fresh;
+      const auto count_new = [&](std::span<const rdf::Triple> triples) {
+        for (const rdf::Triple& t : triples) {
+          if (!store.contains(t)) {
+            fresh.insert(t);
+          }
+        }
+      };
+      count_new(compiled.ground_facts);
+      for (const Worker* worker : workers) {
+        count_new(worker->results());
+      }
+      result.inferred = fresh.size();
     }
-  };
-  for (const rdf::Triple& t : compiled.ground_facts) {
-    count_new(t);
+    result.merge_seconds = merge_watch.elapsed_seconds();
   }
-  for (const Worker* worker : workers) {
-    const auto& log = worker->store().triples();
-    for (std::size_t i = worker->base_size(); i < log.size(); ++i) {
-      count_new(log[i]);
-    }
-  }
-  result.inferred = inferred;
-
-  if (options.build_merged) {
-    rdf::TripleStore merged;
-    merged.insert_all(store.triples());
-    merged.insert_all(compiled.ground_facts);
-    for (const Worker* worker : workers) {
-      merged.insert_all(worker->store().triples());
-    }
-    result.merged.emplace(std::move(merged));
-  }
-  result.merge_seconds = merge_watch.elapsed_seconds();
+  // Free the worker stores here rather than at return, so their teardown
+  // is a named span as well.
+  PAROWL_SPAN("parallel.teardown", {{"workers", workers.size()}});
+  cluster.reset();
+  async.reset();
   return result;
 }
 

@@ -32,6 +32,7 @@ Worker::Worker(std::uint32_t id, rules::RuleSet rule_base,
       options_(options) {}
 
 void Worker::load(std::span<const rdf::Triple> base) {
+  store_.reserve(store_.size() + base.size());
   store_.insert_all(base);
   base_size_ = store_.size();
   frontier_ = 0;  // everything is new for the first closure
@@ -324,7 +325,8 @@ Worker::AsyncStepStats Worker::async_step(std::size_t max_delta,
     // One bounded matching pass over the next frontier chunk.  New
     // derivations land at the end of the log and become further backlog,
     // so repeated steps still reach the local fixpoint.
-    const std::size_t hi = std::min(store_.size(), frontier_ + max_delta);
+    const std::size_t hi =
+        frontier_ + std::min(max_delta, store_.size() - frontier_);
     if (frontier_ >= hi) {
       return st;
     }
@@ -406,7 +408,7 @@ Worker::AsyncStepStats Worker::async_step(std::size_t max_delta,
 Worker::StealShard Worker::grant_steal(std::size_t max_tuples) {
   StealShard shard;
   shard.lo = frontier_;
-  shard.hi = std::min(store_.size(), frontier_ + max_tuples);
+  shard.hi = frontier_ + std::min(max_tuples, store_.size() - frontier_);
   frontier_ = shard.hi;  // the thief owns evaluating [lo, hi) now
   return shard;
 }
@@ -917,6 +919,18 @@ bool Worker::load_checkpoint(std::istream& in, std::uint32_t* round,
     *round = saved_round;
   }
   return true;
+}
+
+std::size_t tally_results(std::span<const std::unique_ptr<Worker>> workers,
+                          std::vector<std::size_t>& per_worker) {
+  rdf::TripleSet all;
+  for (const auto& worker : workers) {
+    per_worker.push_back(worker->result_size());
+    for (const rdf::Triple& t : worker->results()) {
+      all.insert(t);
+    }
+  }
+  return all.size();
 }
 
 }  // namespace parowl::parallel

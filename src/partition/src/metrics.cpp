@@ -2,8 +2,8 @@
 
 #include <bit>
 #include <cmath>
-#include <unordered_set>
 
+#include "parowl/obs/obs.hpp"
 #include "parowl/partition/data_partition.hpp"
 
 namespace parowl::partition {
@@ -31,28 +31,40 @@ double stddev_of(std::span<const std::size_t> counts) {
 
 PartitionMetrics compute_partition_metrics(
     const DataPartitioning& partitioning, const rdf::Dictionary& dict) {
+  PAROWL_SPAN("partition.metrics", {{"parts", partitioning.parts.size()}});
   PartitionMetrics m;
-  std::unordered_set<rdf::TermId> all_nodes;
   std::size_t replicated_sum = 0;
 
-  for (const auto& part : partitioning.parts) {
+  // Dense per-term mark over ids 1..dict.size(): kNotOwned for terms
+  // outside the owner table, else the 1-based index of the last partition
+  // that counted the term (0 = not yet counted anywhere).
+  constexpr std::uint32_t kNotOwned = ~std::uint32_t{0};
+  std::vector<std::uint32_t> mark(dict.size() + 1, kNotOwned);
+  for (const auto& entry : partitioning.owners) {
+    mark[entry.first] = 0;
+  }
+  for (std::size_t p = 0; p < partitioning.parts.size(); ++p) {
+    const auto part = static_cast<std::uint32_t>(p + 1);
+    std::size_t nodes = 0;
+    const auto count = [&](rdf::TermId id) {
+      if (mark[id] != kNotOwned && mark[id] != part) {
+        m.total_nodes += mark[id] == 0 ? 1 : 0;
+        mark[id] = part;
+        ++nodes;
+      }
+    };
     // "Nodes" are owned resources: literals and schema elements (classes,
     // properties) are not graph vertices and never appear in the owner
     // table.
-    std::unordered_set<rdf::TermId> nodes;
-    for (const rdf::Triple& t : part) {
-      if (partitioning.owners.contains(t.s)) {
-        nodes.insert(t.s);
-      }
-      if (dict.is_resource(t.o) && partitioning.owners.contains(t.o)) {
-        nodes.insert(t.o);
+    for (const rdf::Triple& t : partitioning.parts[p]) {
+      count(t.s);
+      if (dict.is_resource(t.o)) {
+        count(t.o);
       }
     }
-    m.nodes_per_partition.push_back(nodes.size());
-    replicated_sum += nodes.size();
-    all_nodes.insert(nodes.begin(), nodes.end());
+    m.nodes_per_partition.push_back(nodes);
+    replicated_sum += nodes;
   }
-  m.total_nodes = all_nodes.size();
   m.bal = stddev_of(m.nodes_per_partition);
 
   m.input_replication =

@@ -10,6 +10,7 @@
 // find — never erase, because materialization is monotone.
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -200,10 +201,18 @@ class TripleSet {
     mask_ = 0;
   }
 
+  /// Make room for `n` entries without regrowing on the way.
+  void reserve(std::size_t n) {
+    if (slots_.size() < 2 * (n + 1)) {
+      rehash(std::bit_ceil(2 * (n + 1)));
+    }
+  }
+
  private:
-  void grow() {
+  void grow() { rehash(slots_.empty() ? 32 : slots_.size() * 2); }
+
+  void rehash(std::size_t cap) {
     std::vector<Triple> old = std::move(slots_);
-    const std::size_t cap = old.empty() ? 32 : old.size() * 2;
     slots_.assign(cap, Triple{});
     mask_ = cap - 1;
     for (const Triple& t : old) {

@@ -68,6 +68,12 @@ class TripleStore {
   /// Insert every triple from `ts`; returns the number actually added.
   std::size_t insert_all(std::span<const Triple> ts);
 
+  /// Make room in the log and the duplicate filter for `n` triples in all.
+  void reserve(std::size_t n) {
+    log_.reserve(n);
+    set_.reserve(n);
+  }
+
   [[nodiscard]] bool contains(const Triple& t) const {
     return set_.contains(t);
   }

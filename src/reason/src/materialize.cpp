@@ -13,6 +13,7 @@ namespace parowl::reason {
 rules::CompiledRules compile_ontology(const rdf::TripleStore& store,
                                       const ontology::Vocabulary& vocab,
                                       const rules::HorstOptions& horst) {
+  PAROWL_SPAN("reason.compile", {});
   const rules::RuleSet generic = rules::horst_rules(vocab, horst);
 
   // Build and saturate the schema store so the compiler sees inherited

@@ -18,8 +18,9 @@
 namespace parowl::serve {
 
 /// Normalize SPARQL text for use as a cache key: trim, collapse whitespace
-/// runs to single spaces, strip '#' comments.  Two spellings of the same
-/// query that differ only in layout share one cache entry.
+/// runs to single spaces, strip '#' comments.  IRIs (`<...#x>`) and quoted
+/// literals are kept verbatim.  Two spellings of the same query that differ
+/// only in layout share one cache entry.
 [[nodiscard]] std::string normalize_query(std::string_view text);
 
 /// A cached query answer plus the metadata the invalidation protocol needs.
@@ -60,8 +61,10 @@ class ResultCache {
   /// misses, inserts are dropped) — the cache-off arm of the bench.
   ResultCache(std::size_t shards, std::size_t capacity_per_shard);
 
-  /// Look up `key` (already normalized).  A hit refreshes LRU recency.
-  [[nodiscard]] std::optional<query::ResultSet> lookup(const std::string& key);
+  /// Look up `key` (already normalized).  A hit refreshes LRU recency and,
+  /// when `version` is non-null, stores the entry's snapshot version there.
+  [[nodiscard]] std::optional<query::ResultSet> lookup(
+      const std::string& key, std::uint64_t* version = nullptr);
 
   /// Insert (or refresh) an entry.  Rejected when `entry.version` is older
   /// than the latest update's version floor (the answer may predate an

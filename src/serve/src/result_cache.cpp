@@ -5,11 +5,38 @@
 
 namespace parowl::serve {
 
+namespace {
+
+/// End of the token that starts at `i`: past the closing '>' of an IRI
+/// reference or the closing quote of a literal, else just past `i`.  A '<'
+/// that no IRIREF character run closes is the less-than operator.
+std::size_t token_end(std::string_view text, std::size_t i) {
+  const char open = text[i];
+  std::size_t j = i + 1;
+  if (open == '<') {
+    constexpr std::string_view kNotInIri = "<>\"{}|^`\\";
+    while (j < text.size() && static_cast<unsigned char>(text[j]) > ' ' &&
+           kNotInIri.find(text[j]) == std::string_view::npos) {
+      ++j;
+    }
+    return j < text.size() && text[j] == '>' ? j + 1 : i + 1;
+  }
+  if (open == '"' || open == '\'') {
+    while (j < text.size() && text[j] != open) {
+      j += text[j] == '\\' ? 2 : 1;
+    }
+    return std::min(j + 1, text.size());
+  }
+  return i + 1;
+}
+
+}  // namespace
+
 std::string normalize_query(std::string_view text) {
   std::string out;
   out.reserve(text.size());
   bool pending_space = false;
-  for (std::size_t i = 0; i < text.size(); ++i) {
+  for (std::size_t i = 0; i < text.size();) {
     const char c = text[i];
     if (c == '#') {
       // Comment runs to end of line.
@@ -21,13 +48,18 @@ std::string normalize_query(std::string_view text) {
     }
     if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
       pending_space = !out.empty();
+      ++i;
       continue;
     }
     if (pending_space) {
       out += ' ';
       pending_space = false;
     }
-    out += c;
+    // IRIs and literals are copied verbatim: a '#' or a run of blanks
+    // inside one is part of the term, not layout.
+    const std::size_t end = token_end(text, i);
+    out.append(text.substr(i, end - i));
+    i = end;
   }
   return out;
 }
@@ -48,7 +80,8 @@ ResultCache::Shard& ResultCache::shard_for(const std::string& key) {
   return *shards_[h % shards_.size()];
 }
 
-std::optional<query::ResultSet> ResultCache::lookup(const std::string& key) {
+std::optional<query::ResultSet> ResultCache::lookup(const std::string& key,
+                                                    std::uint64_t* version) {
   if (!enabled()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
@@ -62,6 +95,9 @@ std::optional<query::ResultSet> ResultCache::lookup(const std::string& key) {
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
+  if (version != nullptr) {
+    *version = it->second->second.version;
+  }
   return it->second->second.results;
 }
 
@@ -71,13 +107,16 @@ void ResultCache::insert(const std::string& key, CachedResult entry) {
   }
   // An in-flight query may finish against snapshot v after an update already
   // published v+1 and ran its invalidation pass; caching that answer would
-  // resurrect exactly the staleness the pass removed.
+  // resurrect exactly the staleness the pass removed.  The floor is read
+  // under the shard lock: on_update raises it before sweeping each shard,
+  // so an insert either lands before the sweep (and is swept) or sees the
+  // raised floor.
+  Shard& shard = shard_for(key);
+  const std::scoped_lock lock(shard.mutex);
   if (entry.version < version_floor_.load(std::memory_order_acquire)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Shard& shard = shard_for(key);
-  const std::scoped_lock lock(shard.mutex);
   if (const auto it = shard.index.find(key); it != shard.index.end()) {
     it->second->second = std::move(entry);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);

@@ -137,7 +137,12 @@ Response QueryService::execute_locked(const std::string& query_text) {
   const SnapshotPtr snap = registry_.current();
   response.snapshot_version = snap->version;
 
-  if (auto hit = cache_.lookup(key)) {
+  std::uint64_t entry_version = 0;
+  if (auto hit = cache_.lookup(key, &entry_version)) {
+    // A reader that pinned `snap` just before an update published can hit
+    // an entry computed against the newer snapshot: report the version the
+    // rows belong to.
+    response.snapshot_version = std::max(snap->version, entry_version);
     response.cache_hit = true;
     response.results = std::move(*hit);
     if (request_span) {

@@ -57,10 +57,10 @@ struct Collector {
         break;
     }
     latency.record_seconds(response.latency_seconds);
-    {
-      const std::scoped_lock lock(mutex);
-      ++answered;
-    }
+    // Notify under the lock: the waiter may destroy the Collector as soon
+    // as it sees the last answer.
+    const std::scoped_lock lock(mutex);
+    ++answered;
     all_done.notify_all();
   }
 
@@ -139,10 +139,8 @@ WorkloadReport run_closed_loop(const SubmitFn& submit,
         bool answered = false;
         submit(q, [&](const Response& r) {
           collector.record(r);
-          {
-            const std::scoped_lock lock(done_mutex);
-            answered = true;
-          }
+          const std::scoped_lock lock(done_mutex);
+          answered = true;
           done_cv.notify_one();
         });
         {

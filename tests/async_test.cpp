@@ -220,6 +220,34 @@ TEST_F(AsyncTest, AsyncThreadedClusterMatchesSerial) {
   EXPECT_GT(result.cluster.async_stats.token_epochs, 0u);
 }
 
+TEST_F(AsyncTest, AsyncThreadedWaitingOnABusyPeerIsNotAStall) {
+  // A 2^30 chunk makes each async_step evaluate a worker's whole backlog in
+  // one long activation, while the two workers that own no university poll
+  // idle for all of it.  Waiting on a busy peer must not count towards the
+  // livelock limit.
+  rdf::Dictionary d2;
+  ontology::Vocabulary v2(d2);
+  rdf::TripleStore uobm;
+  gen::UobmOptions gopts;
+  gopts.base.universities = 2;
+  gopts.base.departments_per_university = 1;
+  gopts.hometowns = 2;
+  gen::generate_uobm(gopts, d2, uobm);
+  rdf::TripleStore uobm_serial;
+  uobm_serial.insert_all(uobm.triples());
+  reason::materialize(uobm_serial, d2, v2, {});
+
+  const partition::DomainOwnerPolicy policy(&partition::lubm_university_key);
+  ParallelOptions opts;
+  opts.partitions = 4;
+  opts.policy = &policy;
+  opts.mode = ExecutionMode::kAsyncThreaded;
+  opts.async_exec.chunk = std::size_t{1} << 30;
+  const ParallelResult result = parallel_materialize(uobm, d2, v2, opts);
+  ASSERT_TRUE(result.merged.has_value());
+  EXPECT_EQ(result.merged->size(), uobm_serial.size());
+}
+
 TEST_F(AsyncTest, AsyncUobmMatchesSerial) {
   // Dense data-set: many in-flight batches and re-activations.
   rdf::Dictionary d2;

@@ -601,6 +601,15 @@ TEST_F(ObsDeterminismTest, TracedClusterRunEmitsPerWorkerSpans) {
   EXPECT_NE(json.find("\"name\":\"parallel.round\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"parallel.send\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"parallel.recv\""), std::string::npos);
+  // The master side: plan, base loads, executor finalize, merge, teardown.
+  for (const char* name :
+       {"reason.compile", "parallel.plan", "partition.metrics",
+        "parallel.load", "parallel.finalize", "parallel.merge",
+        "parallel.teardown"}) {
+    EXPECT_NE(json.find(std::string("\"name\":\"") + name + "\""),
+              std::string::npos)
+        << name;
+  }
 }
 
 }  // namespace

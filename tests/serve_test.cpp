@@ -58,6 +58,17 @@ TEST(NormalizeQuery, StripsComments) {
             "SELECT ?x WHERE { }");
 }
 
+TEST(NormalizeQuery, KeepsIrisAndLiteralsVerbatim) {
+  EXPECT_EQ(serve::normalize_query(
+                "SELECT ?x WHERE { ?x <http://a.org/o#p>  \"a  # b\" } # c"),
+            "SELECT ?x WHERE { ?x <http://a.org/o#p> \"a  # b\" }");
+  EXPECT_EQ(serve::normalize_query("SELECT ?x WHERE { ?x ?p 'it\\'s # x' }"),
+            "SELECT ?x WHERE { ?x ?p 'it\\'s # x' }");
+  // A '<' that no IRI closes is an operator; the comment after it goes.
+  EXPECT_EQ(serve::normalize_query("FILTER (?n < 3) # small\n}"),
+            "FILTER (?n < 3) }");
+}
+
 TEST(ResultCache, LruEvictsOldest) {
   serve::ResultCache cache(/*shards=*/1, /*capacity_per_shard=*/2);
   serve::CachedResult entry;
@@ -110,6 +121,16 @@ TEST(ResultCache, VersionFloorRejectsStaleInserts) {
   fresh.version = 2;
   cache.insert("q", fresh);
   EXPECT_TRUE(cache.lookup("q").has_value());
+}
+
+TEST(ResultCache, HitReportsTheEntryVersion) {
+  serve::ResultCache cache(1, 8);
+  serve::CachedResult entry;
+  entry.version = 3;
+  cache.insert("q", entry);
+  std::uint64_t version = 0;
+  ASSERT_TRUE(cache.lookup("q", &version).has_value());
+  EXPECT_EQ(version, 3u);
 }
 
 TEST(ResultCache, DisabledCacheNeverHits) {
@@ -255,6 +276,38 @@ TEST(QueryService, UpdateInvalidatesByPredicateFootprint) {
   const serve::ServiceStats stats = service.stats();
   EXPECT_EQ(stats.snapshot_version, 2u);
   EXPECT_EQ(stats.updates_applied, 1u);
+}
+
+TEST(QueryService, SingleLineQueriesSharingAPrefixGetTheirOwnRows) {
+  ServeFixtureData fx;
+  // One line each: everything after the '#' of the namespace IRI used to
+  // read as a comment, so both queries shared the key "PREFIX ub: <...".
+  const std::string prefix =
+      std::string("PREFIX ub: <") + gen::kUnivBenchNs + "> ";
+  const std::vector<std::string> texts = {
+      prefix + "SELECT ?x WHERE { ?x a ub:Student }",
+      prefix + "SELECT ?x WHERE { ?x a ub:Course }"};
+  EXPECT_NE(serve::normalize_query(texts[0]),
+            serve::normalize_query(texts[1]));
+
+  std::vector<query::ResultSet> expected;
+  query::SparqlParser parser(fx.dict);
+  for (const std::string& text : texts) {
+    const auto parsed = parser.parse(text);
+    ASSERT_TRUE(parsed.has_value());
+    expected.push_back(query::evaluate(fx.store, *parsed));
+    ASSERT_GT(expected.back().size(), 0u);
+  }
+  serve::QueryService service(fx.dict, *fx.vocab, std::move(fx.store),
+                              small_options());
+  for (int pass = 0; pass < 2; ++pass) {  // miss, then hit
+    for (std::size_t i = 0; i < texts.size(); ++i) {
+      const serve::Response r = service.execute(texts[i]);
+      ASSERT_EQ(r.status, serve::RequestStatus::kOk);
+      EXPECT_EQ(r.cache_hit, pass == 1);
+      EXPECT_EQ(r.results.rows, expected[i].rows);
+    }
+  }
 }
 
 TEST(QueryService, SchemaUpdateIsRejectedWithoutPublishing) {

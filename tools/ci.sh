@@ -43,11 +43,11 @@ cmake --build --preset asan -j "$jobs" \
   sameas_equivalence_test sameas_serve_test graph_partition_test
 ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|Dist|Incremental|SameAs|Partition|Streaming|SplitMerge'
 
-echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop, equality rewrite, reader->partitioner chunk sink) ==="
+echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop, equality rewrite, reader->partitioner chunk sink, threaded base loads + master merge) ==="
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" --target obs_test dist_test async_test \
   incremental_test sameas_equivalence_test sameas_serve_test \
-  graph_partition_test
-ctest --preset tsan -j "$jobs" -R 'Obs|Dist|Async|IncrementalServe|SameAs|StreamingPartitioner'
+  graph_partition_test merge_equivalence_test
+ctest --preset tsan -j "$jobs" -R 'Obs|Dist|Async|IncrementalServe|SameAs|StreamingPartitioner|MergeEquivalence'
 
 echo "=== ci green ==="
