@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "parowl/gen/lubm.hpp"
 #include "parowl/gen/mdc.hpp"
@@ -10,15 +11,40 @@
 namespace parowl::reason {
 namespace {
 
+enum class Dataset : std::uint64_t { kLubm, kMdc, kSameAs };
+
+const char* dataset_name(Dataset d) {
+  switch (d) {
+    case Dataset::kLubm:
+      return "lubm";
+    case Dataset::kMdc:
+      return "mdc";
+    case Dataset::kSameAs:
+      return "sameas";
+  }
+  return "";
+}
+
 /// Property sweep: for every HorstOptions configuration, the four engine
 /// modes (forward/query-driven x compiled/generic) derive the same closure
 /// on the same data.
+///
+/// gtest puts a case's raw bytes into the test name, so a case holds no
+/// pointer and the cases live in a static table, whose padding is zero:
+/// the names come out the same on every build.
 struct SweepCase {
   bool same_as;
   bool restrictions;
   bool reflexivity;
-  const char* dataset;  // "lubm" | "mdc" | "sameas"
+  Dataset dataset;
 };
+
+constexpr SweepCase kSweepCases[] = {
+    {true, true, false, Dataset::kLubm},  {false, true, false, Dataset::kLubm},
+    {true, false, false, Dataset::kLubm}, {true, true, true, Dataset::kLubm},
+    {true, true, false, Dataset::kMdc},   {false, false, false, Dataset::kMdc},
+    {true, true, false, Dataset::kSameAs},
+    {true, false, true, Dataset::kSameAs}};
 
 class HorstSweep : public ::testing::TestWithParam<SweepCase> {
  protected:
@@ -27,15 +53,15 @@ class HorstSweep : public ::testing::TestWithParam<SweepCase> {
       std::make_unique<ontology::Vocabulary>(dict);
   rdf::TripleStore base;
 
-  void build_dataset(const char* name) {
-    if (std::string_view(name) == "lubm") {
+  void build_dataset(Dataset d) {
+    if (d == Dataset::kLubm) {
       gen::LubmOptions o;
       o.universities = 1;
       o.departments_per_university = 1;
       o.faculty_per_department = 3;
       o.students_per_faculty = 2;
       gen::generate_lubm(o, dict, base);
-    } else if (std::string_view(name) == "mdc") {
+    } else if (d == Dataset::kMdc) {
       gen::MdcOptions o;
       o.fields = 1;
       o.wells_per_reservoir = 3;
@@ -134,17 +160,9 @@ TEST_P(HorstSweep, AllEngineModesAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configurations, HorstSweep,
-    ::testing::Values(SweepCase{true, true, false, "lubm"},
-                      SweepCase{false, true, false, "lubm"},
-                      SweepCase{true, false, false, "lubm"},
-                      SweepCase{true, true, true, "lubm"},
-                      SweepCase{true, true, false, "mdc"},
-                      SweepCase{false, false, false, "mdc"},
-                      SweepCase{true, true, false, "sameas"},
-                      SweepCase{true, false, true, "sameas"}),
-    [](const auto& param_info) {
+    ::testing::ValuesIn(kSweepCases), [](const auto& param_info) {
       const SweepCase& c = param_info.param;
-      return std::string(c.dataset) + (c.same_as ? "_sa" : "") +
+      return std::string(dataset_name(c.dataset)) + (c.same_as ? "_sa" : "") +
              (c.restrictions ? "_re" : "") + (c.reflexivity ? "_rf" : "");
     });
 

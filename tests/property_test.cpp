@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_set>
 
 #include "parowl/gen/lubm.hpp"
@@ -67,6 +68,13 @@ struct DataPartCase {
   const char* policy;
   std::uint32_t k;
 };
+
+// Printed by field, not as raw bytes: the bytes hold the address of the
+// policy name, which moves with every build, and gtest puts them in the
+// test name.
+void PrintTo(const DataPartCase& c, std::ostream* os) {
+  *os << c.policy << " k=" << c.k;
+}
 
 class DataPartitionProperty : public ::testing::TestWithParam<DataPartCase> {
  protected:
