@@ -180,7 +180,9 @@ struct RunReport {
 /// Outcome of a cluster run.
 struct ClusterResult {
   std::size_t rounds = 0;
-  double wall_seconds = 0.0;       // actual harness wall time
+  /// Actual harness wall time, up to and including the finalize tally
+  /// (per-worker stats and the results union).
+  double wall_seconds = 0.0;
   double simulated_seconds = 0.0;  // modeled parallel makespan
   std::vector<RoundBreakdown> breakdown;
 

@@ -278,8 +278,8 @@ ClusterResult Cluster::run_sequential() {
     }
   }
 
-  result.wall_seconds = wall.elapsed_seconds();
   finalize(result);
+  result.wall_seconds = wall.elapsed_seconds();
   return result;
 }
 
@@ -382,8 +382,8 @@ ClusterResult Cluster::run_threaded() {
   }
 
   result.rounds = rounds_executed.load();
-  result.wall_seconds = wall.elapsed_seconds();
   finalize(result);
+  result.wall_seconds = wall.elapsed_seconds();
   return result;
 }
 
@@ -656,8 +656,8 @@ ClusterResult Cluster::run_async() {
   }
   result.simulated_seconds = makespan + backoff_seconds_;
   result.rounds = stats.token_epochs;
-  result.wall_seconds = wall.elapsed_seconds();
   finalize_async(result, stats);
+  result.wall_seconds = wall.elapsed_seconds();
   return result;
 }
 
@@ -933,9 +933,9 @@ ClusterResult Cluster::run_async_threaded() {
   }
   (void)ft;
   result.rounds = stats.token_epochs;
-  result.wall_seconds = wall.elapsed_seconds();
-  result.simulated_seconds = result.wall_seconds;
+  result.simulated_seconds = wall.elapsed_seconds();
   finalize_async(result, stats);
+  result.wall_seconds = wall.elapsed_seconds();
   return result;
 }
 

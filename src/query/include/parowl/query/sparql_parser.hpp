@@ -20,12 +20,15 @@ namespace parowl::query {
 /// Supported: PREFIX, SELECT [DISTINCT] (?vars... | *), WHERE with a single
 /// basic graph pattern ('.'-separated triple patterns, `a` as rdf:type,
 /// IRIs, prefixed names, quoted literals), LIMIT.  Keywords are
-/// case-insensitive.
+/// case-insensitive.  A query's PREFIX declarations hold for that query
+/// only: one parser serves many clients, and a declaration must not leak
+/// into the next client's query.
 class SparqlParser {
  public:
   explicit SparqlParser(rdf::Dictionary& dict);
 
-  /// Register a namespace prefix usable by all subsequent queries.
+  /// Register a namespace prefix usable by all subsequent queries.  A
+  /// query's own PREFIX of the same name overrides it for that query.
   void add_prefix(std::string name, std::string iri);
 
   /// Parse one query; returns std::nullopt and sets *error on failure.
@@ -34,6 +37,7 @@ class SparqlParser {
 
  private:
   rdf::Dictionary& dict_;
+  rdf::TermId rdf_type_;  // what `a` stands for
   std::unordered_map<std::string, std::string> prefixes_;
 };
 

@@ -23,7 +23,8 @@ bool iequals(std::string_view a, std::string_view b) {
 
 }  // namespace
 
-SparqlParser::SparqlParser(rdf::Dictionary& dict) : dict_(dict) {
+SparqlParser::SparqlParser(rdf::Dictionary& dict)
+    : dict_(dict), rdf_type_(dict.intern_iri(ontology::iri::kRdfType)) {
   add_prefix("rdf", "http://www.w3.org/1999/02/22-rdf-syntax-ns#");
   add_prefix("rdfs", "http://www.w3.org/2000/01/rdf-schema#");
   add_prefix("owl", "http://www.w3.org/2002/07/owl#");
@@ -136,7 +137,9 @@ std::optional<SelectQuery> SparqlParser::parse(std::string_view text,
     return it->second;
   };
 
-  // PREFIX declarations.
+  // PREFIX declarations: in scope for this query only, over the registered
+  // prefixes of the same name.
+  std::unordered_map<std::string, std::string> declared;
   while (iequals(peek(), "PREFIX")) {
     take();
     std::string name(take());
@@ -148,7 +151,7 @@ std::optional<SelectQuery> SparqlParser::parse(std::string_view text,
     if (iri.size() < 2 || iri.front() != '<' || iri.back() != '>') {
       return fail("PREFIX expects <iri>");
     }
-    add_prefix(name, std::string(iri.substr(1, iri.size() - 2)));
+    declared[std::move(name)] = std::string(iri.substr(1, iri.size() - 2));
   }
 
   // SELECT clause.
@@ -178,7 +181,6 @@ std::optional<SelectQuery> SparqlParser::parse(std::string_view text,
   }
 
   // Graph pattern.
-  const ontology::Vocabulary vocab(dict_);
   auto parse_term = [&](std::string_view tok,
                         bool object_position) -> std::optional<rules::AtomTerm> {
     if (tok.empty()) {
@@ -192,7 +194,7 @@ std::optional<SelectQuery> SparqlParser::parse(std::string_view text,
       return rules::AtomTerm::var(v);
     }
     if (tok == "a") {
-      return rules::AtomTerm::constant(vocab.rdf_type);
+      return rules::AtomTerm::constant(rdf_type_);
     }
     if (tok.front() == '<' && tok.back() == '>') {
       return rules::AtomTerm::constant(
@@ -208,9 +210,13 @@ std::optional<SelectQuery> SparqlParser::parse(std::string_view text,
     if (colon == std::string_view::npos) {
       return std::nullopt;
     }
-    const auto it = prefixes_.find(std::string(tok.substr(0, colon)));
-    if (it == prefixes_.end()) {
-      return std::nullopt;
+    const std::string prefix(tok.substr(0, colon));
+    auto it = declared.find(prefix);
+    if (it == declared.end()) {
+      it = prefixes_.find(prefix);
+      if (it == prefixes_.end()) {
+        return std::nullopt;
+      }
     }
     return rules::AtomTerm::constant(
         dict_.intern_iri(it->second + std::string(tok.substr(colon + 1))));

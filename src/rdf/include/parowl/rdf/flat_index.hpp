@@ -6,8 +6,9 @@
 // std::unordered_* node containers pay a heap allocation per key and a
 // pointer chase per probe.  These replacements use linear probing over a
 // power-of-two slot array (one cache line per average probe, no per-key
-// allocation) and support exactly the operations datalog needs: insert and
-// find — never erase, because materialization is monotone.
+// allocation) and support the operations datalog needs: insert and find.
+// Materialization itself is monotone; TripleSet and SmallIdList also erase,
+// for incremental deletion (reason::Maintainer via TripleStore::erase_all).
 
 #include <algorithm>
 #include <bit>
@@ -107,14 +108,14 @@ class IdMap {
   std::size_t mask_ = 0;
 };
 
-/// Append-only list of 32-bit ids with a small-size inline buffer: the
+/// Insertion-ordered list of 32-bit ids with a small-size inline buffer: the
 /// first kInline entries need no heap allocation.  The store's posting
 /// lists ((p,s) -> objects, (p,o) -> subjects, endpoint log indices) are
 /// overwhelmingly this short, so inserts skip the per-key allocation that
 /// dominated the materializer's insert path.  Contiguity is preserved by
 /// migrating to the spill vector on the first push past kInline, so view()
 /// is always a single span; like a plain vector, a view is invalidated
-/// only by a later push to the same list.
+/// only by a later push to, or erase from, the same list.
 class SmallIdList {
  public:
   static constexpr std::size_t kInline = 4;
@@ -129,6 +130,27 @@ class SmallIdList {
     }
     spill_.push_back(v);
     ++n_;
+  }
+
+  /// Remove the first occurrence of `v`, keeping the order of the rest;
+  /// returns false if `v` is absent.  A list that shrinks back to kInline
+  /// entries moves home to the inline buffer, as view() expects.
+  bool erase(std::uint32_t v) {
+    std::uint32_t* data = n_ <= kInline ? inline_ : spill_.data();
+    std::uint32_t* const end = data + n_;
+    std::uint32_t* const hit = std::find(data, end, v);
+    if (hit == end) {
+      return false;
+    }
+    std::copy(hit + 1, end, hit);
+    --n_;
+    if (n_ == kInline) {
+      std::copy_n(spill_.begin(), kInline, inline_);
+      spill_ = {};
+    } else if (n_ > kInline) {
+      spill_.pop_back();
+    }
+    return true;
   }
 
   [[nodiscard]] std::span<const std::uint32_t> view() const {
@@ -151,6 +173,16 @@ class SmallIdList {
 /// whole system.
 class TripleSet {
  public:
+  TripleSet() = default;
+
+  /// The set of `ts` (duplicates collapse).
+  explicit TripleSet(std::span<const Triple> ts) {
+    reserve(ts.size());
+    for (const Triple& t : ts) {
+      insert(t);
+    }
+  }
+
   /// Insert `t`; returns true if it was new.
   bool insert(const Triple& t) {
     assert(t.s != kAnyTerm && t.p != kAnyTerm && t.o != kAnyTerm);
@@ -185,8 +217,50 @@ class TripleSet {
     }
   }
 
+  /// Remove `t`; returns true if it was present.  Backward-shift deletion:
+  /// the entries after the hole that may move into it do, so every probe
+  /// chain stays contiguous without tombstones, and erases leave nothing
+  /// behind that lengthens later probes.
+  bool erase(const Triple& t) {
+    if (slots_.empty()) {
+      return false;
+    }
+    std::size_t hole = TripleHash{}(t)&mask_;
+    for (;; hole = (hole + 1) & mask_) {
+      if (slots_[hole] == t) {
+        break;
+      }
+      if (slots_[hole].s == kAnyTerm) {
+        return false;
+      }
+    }
+    for (std::size_t i = (hole + 1) & mask_; slots_[i].s != kAnyTerm;
+         i = (i + 1) & mask_) {
+      // The entry at i may fill the hole iff its home slot is not in the
+      // cyclic range (hole, i]: then the hole lies on its probe path.
+      const std::size_t home = TripleHash{}(slots_[i]) & mask_;
+      if (((i - home) & mask_) >= ((i - hole) & mask_)) {
+        slots_[hole] = slots_[i];
+        hole = i;
+      }
+    }
+    slots_[hole] = Triple{};
+    --size_;
+    return true;
+  }
+
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
+
+  /// Invoke `fn(t)` for every member, in slot order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Triple& t : slots_) {
+      if (t.s != kAnyTerm) {
+        fn(t);
+      }
+    }
+  }
 
   /// Drop all entries but keep the slot array — an O(capacity) memset,
   /// which is what the forward engine's per-iteration seen-sets want.

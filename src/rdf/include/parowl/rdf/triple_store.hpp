@@ -15,24 +15,25 @@
 
 namespace parowl::rdf {
 
-/// Append-only, duplicate-free triple store with the indexes the inference
-/// engines need.
+/// Duplicate-free triple store with the indexes the inference engines need.
 ///
-/// Datalog materialization is monotone: triples are only ever added, never
-/// retracted, so the store keeps an insertion-ordered log (used by the
-/// semi-naive engine to address deltas by index range) plus three access
-/// paths:
+/// Datalog materialization is monotone: the engines only ever add triples,
+/// so the store keeps an insertion-ordered log (used by the semi-naive
+/// engine to address deltas by index range) plus three access paths:
 ///   * by predicate                    — with_predicate(p)
 ///   * by (predicate, subject) -> objects  — objects(p, s)
 ///   * by (predicate, object)  -> subjects — subjects(p, o)
 /// which are exactly the probes a single-join rule body performs.
+/// Incremental deletion (reason::Maintainer) retracts a batch at a time
+/// with erase_all, which keeps the log and every index in the state an
+/// insert of the survivors in log order would have produced.
 ///
 /// All indexes are open-addressing IdMaps (flat_index.hpp) pointing into
 /// deque arenas: probes touch one cache line on average and inserts do no
 /// per-key node allocation, while the posting lists themselves stay
 /// pointer-stable — a span returned by objects()/subjects()/with_predicate()
-/// is invalidated only when a triple with the same key is inserted, exactly
-/// as with the node-based containers this replaced.
+/// is invalidated only when a triple with the same key is inserted or
+/// erased, exactly as with the node-based containers this replaced.
 class TripleStore {
  public:
   TripleStore();
@@ -67,6 +68,15 @@ class TripleStore {
 
   /// Insert every triple from `ts`; returns the number actually added.
   std::size_t insert_all(std::span<const Triple> ts);
+
+  /// Remove every stored triple that is in `doomed` (members absent from
+  /// the store are ignored); returns the number removed.  The log is
+  /// compacted stably, so survivors keep their relative order.  Only the
+  /// removed triples' predicates are re-indexed; a predicate left with no
+  /// triples leaves predicates().  The lazy endpoint index is dropped and
+  /// rebuilt on the next unbound-predicate probe.  O(size()) for the log
+  /// compaction plus O(triples of the touched predicates).
+  std::size_t erase_all(const TripleSet& doomed);
 
   /// Make room in the log and the duplicate filter for `n` triples in all.
   void reserve(std::size_t n) {
@@ -248,8 +258,10 @@ class TripleStore {
   }
 
   [[nodiscard]] const PredicateIndex* find_predicate(TermId p) const {
+    // Slot 0 also marks a predicate erase_all emptied.
     const std::uint32_t* slot = predicate_slot_.find(p);
-    return slot != nullptr ? &predicate_arena_[*slot - 1] : nullptr;
+    return slot != nullptr && *slot != 0 ? &predicate_arena_[*slot - 1]
+                                         : nullptr;
   }
 
   /// Bring the subject/object endpoint postings up to date with the log.
@@ -284,5 +296,11 @@ class TripleStore {
   mutable std::atomic<std::size_t> endpoint_builds_{0};
   mutable std::mutex endpoint_mu_;
 };
+
+/// Remove from `v`, keeping the order of the rest, every triple that is in
+/// `doomed`; returns the number removed.  A bitmap over the doomed
+/// subjects turns away nearly every survivor before the hash probe, so for
+/// a small `doomed` the pass costs about one read of `v`.
+std::size_t erase_members(std::vector<Triple>& v, const TripleSet& doomed);
 
 }  // namespace parowl::rdf

@@ -10,6 +10,7 @@
 #include "parowl/rdf/dictionary.hpp"
 #include "parowl/rdf/triple_store.hpp"
 #include "parowl/reason/forward.hpp"
+#include "parowl/rules/compiler.hpp"
 #include "parowl/rules/horst_rules.hpp"
 
 namespace parowl::reason {
@@ -44,12 +45,11 @@ struct MaintainOptions {
   obs::ObsOptions obs;
 
   /// Equality handling of the store being maintained.  Under kRewrite the
-  /// caller supplies the EqualityManager holding the closure's class map;
-  /// the maintainer then refuses batches that would invalidate the map (see
-  /// MaintainResult::equality_rejected) and closes additions in
+  /// caller hands apply() the EqualityManager holding the closure's class
+  /// map: the maintainer then refuses batches that would invalidate the map
+  /// (see MaintainResult::equality_rejected) and closes additions in
   /// representative space.
   EqualityMode equality_mode = EqualityMode::kNaive;
-  EqualityManager* equality = nullptr;
 };
 
 /// What one mixed add/delete batch did to the closure.
@@ -85,6 +85,10 @@ struct MaintainResult {
   /// Net new derivations from the additions + rederivation closure.
   std::size_t inferred = 0;
 
+  /// Rewrite mode: class unions the batch's additions performed.  A merge
+  /// can change the fixpoint without growing the store.
+  std::size_t eq_merges = 0;
+
   std::size_t overdelete_iterations = 0;  // overdelete BFS frontier rounds
   std::size_t rederive_iterations = 0;    // forward-engine iterations
 
@@ -116,15 +120,26 @@ struct MaintainResult {
 /// `materialize` of the updated base would produce (log order differs —
 /// survivors keep their original positions — so equality is on the sorted
 /// triple sequence).
+///
+/// Work per batch is proportional to the batch and its overdeletion cone,
+/// plus one pass over the store's log and the base vector to compact them:
+/// the rule-base is compiled once, at construction; the condemned facts are
+/// erased in place (rdf::TripleStore::erase_all); and membership in the
+/// asserted base is the caller's set, patched with the batch, never rebuilt.
 class Maintainer {
  public:
-  /// `dict` is used for the literal guard during rederivation; `vocab`
-  /// classifies schema triples.  Both must outlive the maintainer.
+  /// Compiles the rule-base from the schema triples of `closure` once;
+  /// every apply() reuses it.  Batches touching the schema are rejected, so
+  /// it never goes stale.  `dict` is used for the literal guard during
+  /// rederivation; `vocab` classifies schema triples.  Both must outlive
+  /// the maintainer; `closure` need not.
   Maintainer(const rdf::Dictionary& dict, const ontology::Vocabulary& vocab,
-             MaintainOptions options = {});
+             const rdf::TripleStore& closure, MaintainOptions options = {});
 
-  /// Apply one mixed batch to `store` (a materialized closure) whose
-  /// asserted triples are `base` (schema + instance, insertion order).
+  /// Apply one mixed batch to `store` (a materialized closure of the
+  /// compiled schema) whose asserted triples are `base` (schema +
+  /// instance, insertion order, duplicate-free) with membership set
+  /// `base_set` (exactly the triples of `base`).
   ///
   /// Semantics are batch-atomic: the updated base is (base \ deletions)
   /// + additions, so a triple deleted and re-added in the same batch stays.
@@ -133,18 +148,26 @@ class Maintainer {
   /// a schema change invalidates the compiled rule-base and needs a full
   /// re-materialization.
   ///
-  /// On success `store` is replaced by the maintained closure: survivors in
+  /// On success `store` holds the maintained closure: survivors in
   /// original log order, then additions, rederivations, and new derivations
-  /// (see MaintainResult::first_new_index); `base` is updated in place.
+  /// (see MaintainResult::first_new_index); `base` and `base_set` are
+  /// updated in place.  A rejected batch leaves all three untouched.
+  ///
+  /// `equality` is the closure's class map under EqualityMode::kRewrite
+  /// (required there, ignored otherwise); it is only ever extended.
   MaintainResult apply(rdf::TripleStore& store,
                        std::vector<rdf::Triple>& base,
+                       rdf::TripleSet& base_set,
                        std::span<const rdf::Triple> additions,
-                       std::span<const rdf::Triple> deletions) const;
+                       std::span<const rdf::Triple> deletions,
+                       EqualityManager* equality = nullptr) const;
 
  private:
   const rdf::Dictionary& dict_;
   const ontology::Vocabulary& vocab_;
   MaintainOptions options_;
+  rules::CompiledRules compiled_;
+  rdf::TripleSet ground_facts_;  // compiled_.ground_facts, for membership
 };
 
 }  // namespace parowl::reason

@@ -166,12 +166,17 @@ struct IncrementalResult {
 /// mode plus the (mutable) EqualityManager holding its class map: new
 /// sameAs assertions merge into the map, the delta closes in
 /// representative space, and the map is re-frozen.
+///
+/// `compiled` is the store's rule-base when the caller already holds it
+/// (compile_ontology with `horst`, minus sameAs propagation under rewrite);
+/// null compiles it from the store's schema triples.
 IncrementalResult materialize_incremental(
     rdf::TripleStore& store, const rdf::Dictionary& dict,
     const ontology::Vocabulary& vocab,
     std::span<const rdf::Triple> additions,
     const rules::HorstOptions& horst = {}, unsigned threads = 1,
     EqualityMode equality_mode = EqualityMode::kNaive,
-    EqualityManager* equality = nullptr);
+    EqualityManager* equality = nullptr,
+    const rules::CompiledRules* compiled = nullptr);
 
 }  // namespace parowl::reason

@@ -130,6 +130,23 @@ bool one_step_derivable(const rdf::TripleStore& store,
   return false;
 }
 
+/// Facts that can never leave the closure: the updated base, i.e. the old
+/// base minus the deletions plus the additions, and the compile-time ground
+/// facts (schema-derived; instance deletions cannot touch their support).
+/// A membership test over the sets the batch already has, so nothing of
+/// base size is built.
+struct Protected {
+  const rdf::TripleSet& base;
+  const rdf::TripleSet& deleted;
+  const rdf::TripleSet& added;
+  const rdf::TripleSet& ground;
+
+  [[nodiscard]] bool contains(const rdf::Triple& t) const {
+    return (base.contains(t) && !deleted.contains(t)) || added.contains(t) ||
+           ground.contains(t);
+  }
+};
+
 /// Backward well-founded proof search for the FBF strategy: `t` is alive iff
 /// it is protected (asserted / compile-time ground fact) or some rule
 /// instantiation derives it from facts that are themselves alive, where the
@@ -139,10 +156,8 @@ bool one_step_derivable(const rdf::TripleStore& store,
 class AliveChecker {
  public:
   AliveChecker(const rdf::TripleStore& store, const rules::RuleSet& rules,
-               const rdf::TripleSet& protected_set,
-               const rdf::TripleSet& dead)
+               const Protected& protected_set, const rdf::TripleSet& dead)
       : store_(store), rules_(rules), protected_(protected_set), dead_(dead) {}
-
   /// Fresh per-root memo: `true` verdicts cached within one root check are
   /// safe (the dead set is fixed for its duration) but must not leak across
   /// roots — the dead set grows between checks, so an old `true` may rest
@@ -197,7 +212,7 @@ class AliveChecker {
 
   const rdf::TripleStore& store_;
   const rules::RuleSet& rules_;
-  const rdf::TripleSet& protected_;
+  const Protected& protected_;
   const rdf::TripleSet& dead_;
   rdf::TripleSet proven_;
   std::vector<rdf::Triple> stack_;
@@ -207,13 +222,25 @@ class AliveChecker {
 
 Maintainer::Maintainer(const rdf::Dictionary& dict,
                        const ontology::Vocabulary& vocab,
+                       const rdf::TripleStore& closure,
                        MaintainOptions options)
-    : dict_(dict), vocab_(vocab), options_(std::move(options)) {}
+    : dict_(dict), vocab_(vocab), options_(std::move(options)) {
+  rules::HorstOptions hopts = options_.horst;
+  if (options_.equality_mode == EqualityMode::kRewrite) {
+    hopts.include_same_as_propagation = false;
+  }
+  compiled_ = compile_ontology(closure, vocab_, hopts);
+  for (const rdf::Triple& t : compiled_.ground_facts) {
+    ground_facts_.insert(t);
+  }
+}
 
 MaintainResult Maintainer::apply(rdf::TripleStore& store,
                                  std::vector<rdf::Triple>& base,
+                                 rdf::TripleSet& base_set,
                                  std::span<const rdf::Triple> additions,
-                                 std::span<const rdf::Triple> deletions) const {
+                                 std::span<const rdf::Triple> deletions,
+                                 EqualityManager* equality) const {
   obs::configure(options_.obs);
   MaintainResult result;
   util::Stopwatch total;
@@ -237,22 +264,18 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
   // equality_rejected contract).  Deleting a sameAs edge, or any fact about
   // a merged individual, cannot be maintained incrementally — reject the
   // whole batch before touching anything.
-  const bool rewrite = options_.equality_mode == EqualityMode::kRewrite &&
-                       options_.equality != nullptr;
+  const bool rewrite = options_.equality_mode == EqualityMode::kRewrite;
+  assert(!rewrite || equality != nullptr);
   if (rewrite) {
     for (const rdf::Triple& t : deletions) {
-      if (t.p == vocab_.owl_same_as || options_.equality->tracked(t.s) ||
-          options_.equality->tracked(t.o)) {
+      if (t.p == vocab_.owl_same_as || equality->tracked(t.s) ||
+          equality->tracked(t.o)) {
         result.equality_rejected = true;
         return result;
       }
     }
   }
 
-  rdf::TripleSet base_set;
-  for (const rdf::Triple& t : base) {
-    base_set.insert(t);
-  }
   rdf::TripleSet addition_set;
   for (const rdf::Triple& t : additions) {
     addition_set.insert(t);
@@ -282,23 +305,27 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
     }
   }
 
-  if (effective.empty()) {
-    // Pure-addition batch: the existing semi-naive delta path.  The base
-    // still records every addition (dedup against the base, not the
-    // closure: an addition that was merely derived before becomes asserted
-    // and must survive a later deletion of its support).
-    const IncrementalResult inc = materialize_incremental(
-        store, dict_, vocab_, additions, options_.horst, options_.threads,
-        options_.equality_mode, options_.equality);
-    assert(!inc.schema_changed);
+  // The base records every addition it does not hold yet (dedup against
+  // the base, not the closure: an addition that was merely derived before
+  // becomes asserted and must survive a later deletion of its support).
+  const auto add_to_base = [&] {
     for (const rdf::Triple& t : additions) {
-      if (!base_set.contains(t)) {
-        base_set.insert(t);
+      if (base_set.insert(t)) {
         base.push_back(t);
         ++result.base_added;
       }
     }
+  };
+
+  if (effective.empty()) {
+    // Pure-addition batch: the existing semi-naive delta path.
+    const IncrementalResult inc = materialize_incremental(
+        store, dict_, vocab_, additions, options_.horst, options_.threads,
+        options_.equality_mode, equality, &compiled_);
+    assert(!inc.schema_changed);
+    add_to_base();
     result.inferred = inc.inferred;
+    result.eq_merges = inc.eq_merges;
     result.rederive_iterations = inc.iterations;
     result.rederive_seconds = inc.reason_seconds;
     // A class-map merge rebuilds the store log; the log-order delta is then
@@ -309,44 +336,11 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
     return result;
   }
 
-  // The compiled rule-base depends only on the schema, which is unchanged.
-  rules::HorstOptions hopts = options_.horst;
-  if (rewrite) {
-    hopts.include_same_as_propagation = false;
-  }
-  const rules::CompiledRules compiled = compile_ontology(store, vocab_, hopts);
-  const DispatchIndex dispatch(compiled.rules);
-
-  // The updated base: deletions dropped in place, additions appended.
-  // (A triple deleted and re-added in the same batch never reaches
-  // `delete_set`, so it survives the first loop and the second loop's
-  // insert dedups it.)
-  rdf::TripleSet new_base_set;
-  std::vector<rdf::Triple> new_base;
-  new_base.reserve(base.size() + additions.size());
-  for (const rdf::Triple& t : base) {
-    if (!delete_set.contains(t) && new_base_set.insert(t)) {
-      new_base.push_back(t);
-    }
-  }
-  for (const rdf::Triple& t : additions) {
-    if (new_base_set.insert(t)) {
-      new_base.push_back(t);
-      ++result.base_added;
-    }
-  }
-
-  // Facts that can never leave the closure: the updated base plus the
-  // compile-time ground facts (schema-derived; instance deletions cannot
-  // touch their support).  The overdelete walk prunes at them — anything
-  // still asserted keeps itself and everything it supports.
-  rdf::TripleSet protected_set;
-  for (const rdf::Triple& t : new_base) {
-    protected_set.insert(t);
-  }
-  for (const rdf::Triple& t : compiled.ground_facts) {
-    protected_set.insert(t);
-  }
+  const DispatchIndex dispatch(compiled_.rules);
+  // The overdelete walk prunes at protected facts — anything still asserted
+  // keeps itself and everything it supports.
+  const Protected protected_set{base_set, delete_set, addition_set,
+                                ground_facts_};
 
   // --- Overdelete pass -----------------------------------------------------
   // BFS over the derivation graph: condemned facts route through the
@@ -360,7 +354,7 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
   std::vector<rdf::Triple> cone;  // BFS queue, deterministic order
   const bool fbf = options_.strategy == MaintainStrategy::kFbf;
   bool equality_undermined = false;
-  AliveChecker checker(store, compiled.rules, protected_set, condemned);
+  AliveChecker checker(store, compiled_.rules, protected_set, condemned);
   {
     PAROWL_SPAN("maintain.overdelete", {{"deletions", effective.size()}});
     for (const rdf::Triple& t : effective) {
@@ -392,7 +386,7 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
         condemned.insert(t);
       }
       dispatch.dispatch(t, [&](const PivotRef& ref) {
-        const rules::Rule& rule = compiled.rules[ref.rule];
+        const rules::Rule& rule = compiled_.rules[ref.rule];
         rules::Binding binding{};
         if (!rules::bind_atom(rule.body[ref.pivot], t, binding)) {
           return;
@@ -435,8 +429,8 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
     }
   }
   if (equality_undermined) {
-    // The cone phase only reads the store, so rejecting here leaves the
-    // closure, the base, and the class map exactly as they were.
+    // The cone phase only reads the store and the base, so rejecting here
+    // leaves the closure, the base, and the class map exactly as they were.
     result.equality_rejected = true;
     return result;
   }
@@ -445,22 +439,26 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
   PAROWL_COUNT("maintain.overdeleted", result.overdeleted);
   PAROWL_COUNT("maintain.kept_alive", result.kept_alive);
 
-  // --- Rebuild + rederive pass --------------------------------------------
+  // The updated base: deletions dropped in place, additions appended.  (A
+  // triple deleted and re-added in the same batch never reaches
+  // `delete_set`, so it stays where it was.)
+  rdf::erase_members(base, delete_set);
+  for (const rdf::Triple& t : effective) {
+    base_set.erase(t);
+  }
+  add_to_base();
+
+  // --- Erase + rederive pass -----------------------------------------------
   // Survivors keep their log order; then additions, rederivation seeds, and
   // the semi-naive closure of both append at the tail.
   util::Stopwatch rederive_watch;
   {
     PAROWL_SPAN("maintain.rederive", {{"condemned", result.overdeleted}});
-    rdf::TripleStore next;
-    for (const rdf::Triple& t : store.triples()) {
-      if (!condemned.contains(t)) {
-        next.insert(t);
-      }
-    }
-    result.first_new_index = next.size();
+    store.erase_all(condemned);
+    result.first_new_index = store.size();
 
     for (const rdf::Triple& t : additions) {
-      next.insert(t);
+      store.insert(t);
     }
 
     if (!fbf) {
@@ -469,8 +467,9 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
       // run below completes the transitive rederivations.  (FBF never
       // condemns a fact with surviving support, so it skips this.)
       for (const rdf::Triple& t : cone) {
-        if (!next.contains(t) && one_step_derivable(next, compiled.rules, t)) {
-          next.insert(t);
+        if (!store.contains(t) &&
+            one_step_derivable(store, compiled_.rules, t)) {
+          store.insert(t);
           ++result.rederived;
         }
       }
@@ -482,12 +481,13 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
     fopts.obs = options_.obs;
     if (rewrite) {
       fopts.equality_mode = EqualityMode::kRewrite;
-      fopts.equality = options_.equality;
+      fopts.equality = equality;
       fopts.same_as = vocab_.owl_same_as;
     }
-    const ForwardStats stats = ForwardEngine(next, compiled.rules, fopts)
+    const ForwardStats stats = ForwardEngine(store, compiled_.rules, fopts)
                                    .run(result.first_new_index);
     result.rederive_iterations = stats.iterations;
+    result.eq_merges = stats.eq_merges;
     if (rewrite && stats.eq_rebuilds > 0) {
       // New additions triggered a merge: the rebuilt log has no stable
       // survivor prefix, so the serve layer must treat everything as new.
@@ -496,17 +496,14 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
 
     // Net removals: condemned facts that did not make it back.
     for (const rdf::Triple& t : cone) {
-      if (condemned.contains(t) && !next.contains(t)) {
+      if (condemned.contains(t) && !store.contains(t)) {
         result.removed_triples.push_back(t);
       }
     }
     result.removed = result.removed_triples.size();
     result.inferred =
-        next.size() - result.first_new_index;  // additions + rederived + new
-
-    store = std::move(next);
+        store.size() - result.first_new_index;  // additions + rederived + new
   }
-  base = std::move(new_base);
   result.rederive_seconds = rederive_watch.elapsed_seconds();
   PAROWL_COUNT("maintain.rederived", result.rederived);
   PAROWL_COUNT("maintain.removed", result.removed);
@@ -525,6 +522,7 @@ obs::FieldList fields(const MaintainResult& r) {
       {"rederived", r.rederived},
       {"removed", r.removed},
       {"inferred", r.inferred},
+      {"eq_merges", r.eq_merges},
       {"overdelete_iterations", r.overdelete_iterations},
       {"rederive_iterations", r.rederive_iterations},
       {"overdelete_seconds", r.overdelete_seconds},

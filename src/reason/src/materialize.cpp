@@ -234,7 +234,8 @@ IncrementalResult materialize_incremental(
     const ontology::Vocabulary& vocab,
     std::span<const rdf::Triple> additions,
     const rules::HorstOptions& horst, unsigned threads,
-    EqualityMode equality_mode, EqualityManager* equality) {
+    EqualityMode equality_mode, EqualityManager* equality,
+    const rules::CompiledRules* compiled) {
   IncrementalResult result;
   for (const rdf::Triple& t : additions) {
     if (vocab.is_schema_triple(t)) {
@@ -245,13 +246,16 @@ IncrementalResult materialize_incremental(
 
   const bool rewrite =
       equality_mode == EqualityMode::kRewrite && equality != nullptr;
-  rules::HorstOptions hopts = horst;
-  if (rewrite) {
-    hopts.include_same_as_propagation = false;
-  }
-
   // The compiled rule-base depends only on the schema, which is unchanged.
-  const rules::CompiledRules compiled = compile_ontology(store, vocab, hopts);
+  rules::CompiledRules own;
+  if (compiled == nullptr) {
+    rules::HorstOptions hopts = horst;
+    if (rewrite) {
+      hopts.include_same_as_propagation = false;
+    }
+    own = compile_ontology(store, vocab, hopts);
+    compiled = &own;
+  }
 
   const std::size_t delta_begin = store.size();
   result.added = store.insert_all(additions);
@@ -269,7 +273,7 @@ IncrementalResult materialize_incremental(
     fopts.same_as = vocab.owl_same_as;
   }
   const ForwardStats stats =
-      ForwardEngine(store, compiled.rules, fopts).run(delta_begin);
+      ForwardEngine(store, compiled->rules, fopts).run(delta_begin);
   result.iterations = stats.iterations;
   result.eq_merges = stats.eq_merges;
   result.eq_rebuilds = stats.eq_rebuilds;

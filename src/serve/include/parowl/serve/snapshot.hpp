@@ -34,8 +34,8 @@ struct KbSnapshot {
   /// materialized from — what incremental deletion maintains against
   /// (reason::Maintainer).  Null means "everything in the store is
   /// asserted": the conservative default when a service is built from an
-  /// already-materialized store with no base provenance.  Shared across
-  /// versions whose base did not change.
+  /// already-materialized store with no base provenance; the first write
+  /// then records the store's log as the base.
   std::shared_ptr<const std::vector<rdf::Triple>> base;
 
   /// Frozen equality class map when the store was materialized under

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -20,14 +21,13 @@ struct UpdateOutcome {
   /// class map (maintain.equality_rejected), or an all-no-op batch).
   std::uint64_t version = 0;
 
-  /// The incremental closure's own statistics (added/inferred/rejected).
-  /// Always populated, for mixed batches too (added/inferred/schema_changed
-  /// mirror the maintenance result).
+  /// The headline numbers of `maintain` in the incremental closure's shape
+  /// (added = asserted triples new to the base, inferred, iterations,
+  /// schema_changed, eq_merges, reason_seconds).
   reason::IncrementalResult result;
 
-  /// Full maintenance statistics when the batch carried deletions
-  /// (overdeleted/rederived/removed and the per-pass timings); default-
-  /// constructed for pure-addition batches.
+  /// Full maintenance statistics (overdeleted/rederived/removed and the
+  /// per-pass timings; the deletion counters stay 0 for pure additions).
   reason::MaintainResult maintain;
 
   /// Distinct predicates of the delta — the footprint handed to the cache.
@@ -39,23 +39,30 @@ struct UpdateOutcome {
   /// Cache entries dropped by this batch.
   std::size_t invalidated = 0;
 
-  double copy_seconds = 0.0;   // building the successor store
+  double copy_seconds = 0.0;   // copying the store and the base
   double total_seconds = 0.0;  // copy + closure + invalidate + publish
 };
 
 /// The write side of the serving layer: applies an instance-triple batch to
 /// the current snapshot and publishes the successor version.
 ///
-/// Copy-on-update RCU: the updater clones the current store, runs the
-/// incremental closure (`reason::materialize_incremental` for pure
-/// additions, `reason::Maintainer` delete-and-rederive for mixed batches)
-/// on the clone, invalidates overlapping cache entries, and atomically
-/// swaps the new snapshot in.  Readers keep their version until they
-/// finish; nothing ever blocks a query, and no query can observe a
-/// half-maintained store.  Invalidation runs *before* publication so no
-/// reader can hit a stale cached answer under the new version, and the
-/// cache's version floor stops in-flight queries from re-inserting answers
-/// computed against the old snapshot.
+/// Copy-on-update RCU: the updater clones the current store and asserted
+/// base, maintains the clone with one `reason::Maintainer` (the semi-naive
+/// delta for pure additions, delete-and-rederive for mixed batches),
+/// invalidates overlapping cache entries, and atomically swaps the new
+/// snapshot in.  Readers keep their version until they finish; nothing
+/// ever blocks a query, and no query can observe a half-maintained store.
+/// Invalidation runs *before* publication so no reader can hit a stale
+/// cached answer under the new version, and the cache's version floor
+/// stops in-flight queries from re-inserting answers computed against the
+/// old snapshot.
+///
+/// The maintainer, and so the compiled rule-base, is built at the first
+/// write and reused: schema batches are rejected, so the schema never
+/// changes through an update.  So is the membership set of the asserted
+/// base.  Only the writer reads it, so it lives here rather than in the
+/// immutable snapshots, and each batch patches it in place instead of
+/// hashing, or copying, the whole base again.
 ///
 /// One Updater serializes its own batches (internal mutex), but the KB
 /// design assumes a single logical writer — concurrent Updaters on one
@@ -73,15 +80,18 @@ class Updater {
           unsigned reason_threads = 1,
           reason::MaintainStrategy strategy = reason::MaintainStrategy::kDRed);
 
-  /// Apply one batch of *instance* triples.  Schema triples are rejected
-  /// (outcome.result.schema_changed) without publishing — a schema change
-  /// invalidates the compiled rule-base and needs a full re-materialization.
+  /// Apply one batch of *instance* triples: apply(additions, {}).  Schema
+  /// triples are rejected (outcome.result.schema_changed) without
+  /// publishing — a schema change invalidates the compiled rule-base and
+  /// needs a full re-materialization.
   UpdateOutcome apply(std::span<const rdf::Triple> additions);
 
   /// Apply one mixed batch: retract `deletions` from the asserted base and
   /// add `additions`, maintaining the closure incrementally (DRed/FBF).
   /// Batch-atomic: a triple in both lists stays.  Deleting a never-present
   /// triple is a no-op; an all-no-op batch publishes nothing (version 0).
+  /// An addition that was only derived before publishes a version whose
+  /// base records it, with an empty store delta.
   UpdateOutcome apply(std::span<const rdf::Triple> additions,
                       std::span<const rdf::Triple> deletions);
 
@@ -96,6 +106,12 @@ class Updater {
   unsigned reason_threads_;
   reason::MaintainStrategy strategy_;
   mutable std::mutex write_mutex_;
+  std::optional<reason::Maintainer> maintainer_;  // built at the first write
+  // Membership of the asserted base of snapshot version base_set_version_
+  // (0: of none; the next write rebuilds it).  Built at the first write, so
+  // loading a KB never pays for it.
+  rdf::TripleSet base_set_;
+  std::uint64_t base_set_version_ = 0;
   std::uint64_t batches_ = 0;
 };
 

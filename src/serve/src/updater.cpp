@@ -27,96 +27,11 @@ Updater::Updater(SnapshotRegistry& registry, ResultCache* cache,
       strategy_(strategy) {}
 
 UpdateOutcome Updater::apply(std::span<const rdf::Triple> additions) {
-  const std::scoped_lock lock(write_mutex_);
-  UpdateOutcome outcome;
-  util::Stopwatch total;
-
-  const SnapshotPtr old_snap = registry_.current();
-
-  auto next = std::make_shared<KbSnapshot>();
-  {
-    util::Stopwatch copy_watch;
-    next->store = old_snap->store;  // copy-on-update: readers keep theirs
-    outcome.copy_seconds = copy_watch.elapsed_seconds();
-  }
-  next->delta_begin = next->store.size();
-  next->version = old_snap->version + 1;
-
-  // Rewrite mode: the class map is extended on a private clone (RCU, like
-  // the store) so readers expanding through the old snapshot never race.
-  std::shared_ptr<reason::EqualityManager> eq_next;
-  if (old_snap->equality != nullptr) {
-    eq_next = std::make_shared<reason::EqualityManager>(*old_snap->equality);
-  }
-
-  outcome.result = reason::materialize_incremental(
-      next->store, dict_, vocab_, additions, {}, reason_threads_,
-      eq_next != nullptr ? reason::EqualityMode::kRewrite
-                         : reason::EqualityMode::kNaive,
-      eq_next.get());
-  // A merge can change the fixpoint without growing the store (the new
-  // sameAs fact is intercepted and existing triples are remapped in
-  // place), so "unchanged" must also check the map.
-  if (outcome.result.schema_changed ||
-      (next->store.size() == next->delta_begin &&
-       outcome.result.eq_merges == 0)) {
-    // Rejected or a pure-duplicate batch: the fixpoint is unchanged, keep
-    // the current snapshot (and every cache entry) as is.
-    outcome.total_seconds = total.elapsed_seconds();
-    return outcome;
-  }
-  if (outcome.result.eq_rebuilds > 0) {
-    // A merge rebuilt (reordered) the store log: the survivor-prefix
-    // contract is void, so the whole store is the delta.  The footprint
-    // below then spans every stored predicate, which is exactly what makes
-    // cached pre-merge answers unreachable.
-    next->delta_begin = 0;
-  }
-  next->equality = std::move(eq_next);
-
-  // The base grows by the genuinely new asserted triples; derived triples
-  // already present stay derived.  Null base means "everything asserted" —
-  // keep that convention by leaving it null (the new triples are in the
-  // store log either way).
-  if (old_snap->base != nullptr) {
-    auto base = std::make_shared<std::vector<rdf::Triple>>(*old_snap->base);
-    rdf::TripleSet base_set;
-    for (const rdf::Triple& t : *base) {
-      base_set.insert(t);
-    }
-    for (const rdf::Triple& t : additions) {
-      if (base_set.insert(t)) {
-        base->push_back(t);
-      }
-    }
-    next->base = std::move(base);
-  }
-
-  // Footprint of the delta: every predicate among the new triples.
-  const auto& log = next->store.triples();
-  for (std::size_t i = next->delta_begin; i < log.size(); ++i) {
-    outcome.delta_predicates.push_back(log[i].p);
-  }
-  sort_unique(outcome.delta_predicates);
-
-  // Invalidate before publishing: after the swap no reader can find a
-  // cached answer the delta made stale.
-  if (cache_ != nullptr) {
-    outcome.invalidated =
-        cache_->on_update(outcome.delta_predicates, next->version);
-  }
-  outcome.version = next->version;
-  registry_.publish(std::move(next));
-  ++batches_;
-  outcome.total_seconds = total.elapsed_seconds();
-  return outcome;
+  return apply(additions, {});
 }
 
 UpdateOutcome Updater::apply(std::span<const rdf::Triple> additions,
                              std::span<const rdf::Triple> deletions) {
-  if (deletions.empty()) {
-    return apply(additions);
-  }
   const std::scoped_lock lock(write_mutex_);
   UpdateOutcome outcome;
   util::Stopwatch total;
@@ -135,46 +50,63 @@ UpdateOutcome Updater::apply(std::span<const rdf::Triple> additions,
     outcome.copy_seconds = copy_watch.elapsed_seconds();
   }
   next->version = old_snap->version + 1;
+  if (base_set_version_ != old_snap->version) {
+    base_set_ = rdf::TripleSet(base);  // first write, or a version it missed
+  }
 
-  reason::MaintainOptions mopts;
-  mopts.strategy = strategy_;
-  mopts.threads = reason_threads_;
   // Rewrite mode: hand the maintainer a private clone of the class map
   // (RCU).  It only ever *grows* the clone — batches that would shrink a
   // class come back equality_rejected and the clone is discarded.
   std::shared_ptr<reason::EqualityManager> eq_next;
   if (old_snap->equality != nullptr) {
     eq_next = std::make_shared<reason::EqualityManager>(*old_snap->equality);
-    mopts.equality_mode = reason::EqualityMode::kRewrite;
-    mopts.equality = eq_next.get();
   }
-  const reason::Maintainer maintainer(dict_, vocab_, mopts);
-  outcome.maintain = maintainer.apply(next->store, base, additions, deletions);
+  if (!maintainer_) {
+    reason::MaintainOptions mopts;
+    mopts.strategy = strategy_;
+    mopts.threads = reason_threads_;
+    if (eq_next != nullptr) {
+      mopts.equality_mode = reason::EqualityMode::kRewrite;
+    }
+    maintainer_.emplace(dict_, vocab_, old_snap->store, mopts);
+  }
+  // The maintainer patches base_set_ in place only when the batch changes
+  // the base, which always publishes; until then it matches no version.
+  base_set_version_ = 0;
+  outcome.maintain = maintainer_->apply(next->store, base, base_set_,
+                                        additions, deletions, eq_next.get());
 
-  // Mirror the headline numbers into the legacy stats block so existing
-  // callers see one shape for both batch kinds.
+  // Mirror the headline numbers into the incremental-closure stats block.
   outcome.result.schema_changed = outcome.maintain.schema_changed;
   outcome.result.added = outcome.maintain.base_added;
   outcome.result.inferred = outcome.maintain.inferred;
   outcome.result.iterations = outcome.maintain.rederive_iterations;
   outcome.result.reason_seconds = outcome.maintain.rederive_seconds;
+  outcome.result.eq_merges = outcome.maintain.eq_merges;
 
+  // A merge can change the fixpoint without growing the store (the new
+  // sameAs fact is intercepted and existing triples are remapped in
+  // place), so "unchanged" must also check the map.
   const bool changed = outcome.maintain.base_added > 0 ||
                        outcome.maintain.base_deleted > 0 ||
                        outcome.maintain.removed > 0 ||
-                       outcome.maintain.inferred > 0;
+                       outcome.maintain.inferred > 0 ||
+                       outcome.maintain.eq_merges > 0;
   if (outcome.maintain.schema_changed || outcome.maintain.equality_rejected ||
       !changed) {
     // Rejected (schema change / deletion touching the equality map), or an
     // all-no-op batch (deletes of absent triples plus duplicate adds): the
     // fixpoint is unchanged, keep the current snapshot and every cache
-    // entry as is.
+    // entry as is.  The base, and so base_set_, is untouched.
+    base_set_version_ = old_snap->version;
     outcome.total_seconds = total.elapsed_seconds();
     return outcome;
   }
 
-  // first_new_index is already 0 when a merge rebuilt the store log, so the
-  // footprint below covers every stored predicate in that case.
+  // first_new_index is 0 when a merge rebuilt (reordered) the store log:
+  // the survivor-prefix contract is void, so the footprint below spans
+  // every stored predicate, which is exactly what makes cached pre-merge
+  // answers unreachable.
   next->delta_begin = outcome.maintain.first_new_index;
   next->equality = std::move(eq_next);
   next->base =
@@ -192,11 +124,14 @@ UpdateOutcome Updater::apply(std::span<const rdf::Triple> additions,
   }
   sort_unique(outcome.delta_predicates);
 
+  // Invalidate before publishing: after the swap no reader can find a
+  // cached answer the delta made stale.
   if (cache_ != nullptr) {
     outcome.invalidated =
         cache_->on_update(outcome.delta_predicates, next->version);
   }
   outcome.version = next->version;
+  base_set_version_ = next->version;
   registry_.publish(std::move(next));
   ++batches_;
   outcome.total_seconds = total.elapsed_seconds();

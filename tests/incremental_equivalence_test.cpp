@@ -27,6 +27,7 @@
 #include "parowl/reason/maintain.hpp"
 #include "parowl/reason/materialize.hpp"
 #include "parowl/serve/service.hpp"
+#include "store_invariants.hpp"
 
 namespace parowl::reason {
 namespace {
@@ -178,28 +179,52 @@ class IncrementalEquivalence
     : public ::testing::TestWithParam<MaintainStrategy> {};
 
 void run_stream_against_oracle(Kb kb, MaintainStrategy strategy,
-                               std::uint64_t seed, int rounds) {
+                               std::uint64_t seed, int rounds,
+                               EqualityMode mode = EqualityMode::kNaive) {
   constexpr unsigned kThreads[] = {1, 2, 4, 8};
 
-  // One (store, base) replica per thread count, maintained in lockstep.
+  // Under rewrite the stream starts from the representative-space closure
+  // and its class map; on sameAs-free data that closure equals the naive
+  // one as a set, so the same oracle applies.
+  EqualityManager eq;
+  if (mode == EqualityMode::kRewrite) {
+    kb.store = rdf::TripleStore();
+    kb.store.insert_all(kb.base);
+    MaterializeOptions mo;
+    mo.equality_mode = mode;
+    mo.equality = &eq;
+    materialize(kb.store, kb.dict, kb.vocab, mo);
+  }
+
+  // One (store, base, base set, class map) replica per thread count,
+  // maintained in lockstep.
   std::vector<rdf::TripleStore> stores;
   std::vector<std::vector<rdf::Triple>> bases;
+  std::vector<rdf::TripleSet> base_sets;
+  std::vector<EqualityManager> eqs;
   for (std::size_t i = 0; i < std::size(kThreads); ++i) {
     stores.push_back(kb.store);
     bases.push_back(kb.base);
+    base_sets.emplace_back(kb.base);
+    eqs.push_back(eq);
   }
 
   MixedStream stream(kb.dict, kb.vocab, kb.base, seed);
   for (int round = 0; round < rounds; ++round) {
     const MixedStream::Batch batch = stream.next();
+    std::vector<rdf::Triple> removed;
     for (std::size_t i = 0; i < std::size(kThreads); ++i) {
       MaintainOptions opts;
       opts.strategy = strategy;
       opts.threads = kThreads[i];
-      const Maintainer maintainer(kb.dict, kb.vocab, opts);
-      const MaintainResult r =
-          maintainer.apply(stores[i], bases[i], batch.adds, batch.dels);
+      opts.equality_mode = mode;
+      const Maintainer maintainer(kb.dict, kb.vocab, stores[i], opts);
+      const MaintainResult r = maintainer.apply(
+          stores[i], bases[i], base_sets[i], batch.adds, batch.dels,
+          mode == EqualityMode::kRewrite ? &eqs[i] : nullptr);
       ASSERT_FALSE(r.schema_changed) << "round " << round;
+      ASSERT_FALSE(r.equality_rejected) << "round " << round;
+      removed = r.removed_triples;
     }
 
     // Thread counts must agree bit-for-bit, log order included.
@@ -208,6 +233,17 @@ void run_stream_against_oracle(Kb kb, MaintainStrategy strategy,
           << "round " << round << ": " << kThreads[i]
           << "-thread log diverged from single-thread";
       ASSERT_EQ(bases[0], bases[i]) << "round " << round;
+    }
+
+    // The in-place erase left every index as a fresh insert of the log
+    // would build it (probing the removed and deleted keys too), and the
+    // patched base set is still exactly the base.
+    removed.insert(removed.end(), batch.dels.begin(), batch.dels.end());
+    ASSERT_TRUE(test::indexes_match_log(stores[0], removed))
+        << "round " << round;
+    for (std::size_t i = 0; i < std::size(kThreads); ++i) {
+      ASSERT_TRUE(test::set_matches(base_sets[i], bases[i]))
+          << "round " << round;
     }
 
     // And the maintained closure must equal the from-scratch one.
@@ -229,6 +265,11 @@ TEST_P(IncrementalEquivalence, MdcRandomStreamMatchesOracle) {
   run_stream_against_oracle(mdc_kb(), GetParam(), /*seed=*/7, /*rounds=*/4);
 }
 
+TEST_P(IncrementalEquivalence, LubmRewriteStreamMatchesOracle) {
+  run_stream_against_oracle(lubm_kb(), GetParam(), /*seed=*/42, /*rounds=*/4,
+                            EqualityMode::kRewrite);
+}
+
 // DRed and FBF must agree with each other on identical streams (they both
 // agree with the oracle above; this pins them against each other directly,
 // including the statistics-independent store/base state).
@@ -238,18 +279,22 @@ TEST(IncrementalEquivalenceCross, StrategiesAgreeOnIdenticalStreams) {
   rdf::TripleStore fbf_store = kb.store;
   std::vector<rdf::Triple> dred_base = kb.base;
   std::vector<rdf::Triple> fbf_base = kb.base;
+  rdf::TripleSet dred_set(kb.base);
+  rdf::TripleSet fbf_set(kb.base);
 
   MixedStream stream(kb.dict, kb.vocab, kb.base, /*seed=*/99);
+  MaintainOptions dred;
+  dred.strategy = MaintainStrategy::kDRed;
+  MaintainOptions fbf;
+  fbf.strategy = MaintainStrategy::kFbf;
+  const Maintainer dred_maintainer(kb.dict, kb.vocab, kb.store, dred);
+  const Maintainer fbf_maintainer(kb.dict, kb.vocab, kb.store, fbf);
   for (int round = 0; round < 5; ++round) {
     const MixedStream::Batch batch = stream.next();
-    MaintainOptions dred;
-    dred.strategy = MaintainStrategy::kDRed;
-    MaintainOptions fbf;
-    fbf.strategy = MaintainStrategy::kFbf;
-    Maintainer(kb.dict, kb.vocab, dred)
-        .apply(dred_store, dred_base, batch.adds, batch.dels);
-    Maintainer(kb.dict, kb.vocab, fbf)
-        .apply(fbf_store, fbf_base, batch.adds, batch.dels);
+    dred_maintainer.apply(dred_store, dred_base, dred_set, batch.adds,
+                          batch.dels);
+    fbf_maintainer.apply(fbf_store, fbf_base, fbf_set, batch.adds,
+                         batch.dels);
     ASSERT_EQ(dred_base, fbf_base) << "round " << round;
     ASSERT_EQ(sorted_triples(dred_store), sorted_triples(fbf_store))
         << "round " << round;

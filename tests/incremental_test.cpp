@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,8 +70,9 @@ class IncrementalMaintain
                           std::vector<rdf::Triple> deletions) {
     MaintainOptions opts;
     opts.strategy = GetParam();
-    const Maintainer maintainer(dict, vocab, opts);
-    return maintainer.apply(store, base, additions, deletions);
+    const Maintainer maintainer(dict, vocab, store, opts);
+    rdf::TripleSet base_set(base);
+    return maintainer.apply(store, base, base_set, additions, deletions);
   }
 
   /// From-scratch closure of the *current* base — the maintenance oracle.
@@ -272,6 +274,30 @@ TEST_P(IncrementalServe, NoOpBatchPublishesNothing) {
   EXPECT_EQ(outcome.version, 0u);
   EXPECT_EQ(service.snapshot()->version, 1u);
   EXPECT_EQ(outcome.invalidated, 0u);
+}
+
+// Asserting a triple the closure already derives changes no stored triple,
+// but it changes the base: a later deletion of its only support must leave
+// it in the closure.
+TEST_P(IncrementalServe, AssertingADerivedTripleKeepsItPastItsSupport) {
+  ServeKb kb;
+  rdf::TripleStore closure = kb.store;
+  serve::QueryService service(kb.dict, kb.vocab, std::move(closure),
+                              kb.options(GetParam()), kb.base);
+  const rdf::Triple derived{kb.b, kb.anc, kb.c};  // from b parentOf c
+  ASSERT_TRUE(service.snapshot()->store.contains(derived));
+
+  const serve::UpdateOutcome asserted =
+      service.apply_update(std::span<const rdf::Triple>(&derived, 1));
+  EXPECT_EQ(asserted.version, 2u);
+  EXPECT_EQ(asserted.result.added, 1u);
+  EXPECT_TRUE(asserted.delta_predicates.empty());  // the closure is as it was
+
+  const std::vector<rdf::Triple> dels = {{kb.b, kb.parent, kb.c}};
+  const serve::UpdateOutcome outcome = service.apply_update({}, dels);
+  ASSERT_EQ(outcome.version, 3u);
+  EXPECT_FALSE(service.snapshot()->store.contains(dels[0]));
+  EXPECT_TRUE(service.snapshot()->store.contains(derived));
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, IncrementalServe,

@@ -119,6 +119,28 @@ TEST_F(QueryTest, ParserRejectsMalformedQueries) {
   EXPECT_FALSE(parser.parse("SELECT ?x WHERE { }", &error));
 }
 
+TEST_F(QueryTest, QueryPrefixesAreScopedToTheirQuery) {
+  small_kb();
+  // Query A declares `my:`; query B uses it without declaring it.
+  EXPECT_EQ(run("PREFIX my: <http://ex/> SELECT ?x WHERE { ?x a my:Student }")
+                .size(),
+            1u);
+  std::string error;
+  EXPECT_FALSE(
+      parser.parse("SELECT ?x WHERE { ?x a my:Student }", &error).has_value());
+}
+
+TEST_F(QueryTest, RedeclaredRegisteredPrefixAppliesToItsQueryOnly) {
+  small_kb();  // registers ex: -> http://ex/
+  // Rebinding ex: for one query finds nothing under the other namespace...
+  EXPECT_EQ(
+      run("PREFIX ex: <http://other/> SELECT ?x WHERE { ?x a ex:Professor }")
+          .size(),
+      0u);
+  // ...and leaves the registered binding in force for the next query.
+  EXPECT_EQ(run("SELECT ?x WHERE { ?x a ex:Professor }").size(), 2u);
+}
+
 TEST_F(QueryTest, CaseInsensitiveKeywords) {
   small_kb();
   const ResultSet r =

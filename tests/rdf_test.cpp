@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
 #include <sstream>
+#include <vector>
 
 #include "parowl/rdf/dictionary.hpp"
 #include "parowl/rdf/flat_index.hpp"
 #include "parowl/rdf/graph_stats.hpp"
 #include "parowl/rdf/ntriples.hpp"
 #include "parowl/rdf/triple_store.hpp"
+#include "store_invariants.hpp"
 
 namespace parowl::rdf {
 namespace {
@@ -355,6 +360,226 @@ TEST(TripleStore, CopyPreservesIndexesIndependently) {
   EXPECT_EQ(b.subjects(2, 3).size(), 3u);
   EXPECT_FALSE(a.contains({5, 2, 3}));
   EXPECT_TRUE(b.contains({5, 2, 3}));
+}
+
+// --- erase ------------------------------------------------------------------
+
+/// Triples whose home slot in a 32-slot TripleSet (a set of at most 15
+/// entries never grows past 32 slots) is `home`.
+std::vector<Triple> homed_at(std::size_t home, std::size_t n) {
+  std::vector<Triple> out;
+  for (TermId s = 1; out.size() < n; ++s) {
+    const Triple t{s, 7, 9};
+    if ((TripleHash{}(t) & 31) == home) {
+      out.push_back(t);
+    }
+  }
+  return out;
+}
+
+TEST(TripleSet, EraseKeepsCollisionChainReachable) {
+  // Four triples share home slot 5: one chain of slots 5..8.  Erasing its
+  // head and then its middle must leave the rest findable.
+  const std::vector<Triple> chain = homed_at(5, 4);
+  TripleSet set;
+  for (const Triple& t : chain) {
+    ASSERT_TRUE(set.insert(t));
+  }
+  EXPECT_TRUE(set.erase(chain[0]));
+  EXPECT_FALSE(set.contains(chain[0]));
+  EXPECT_TRUE(set.contains(chain[1]));
+  EXPECT_TRUE(set.contains(chain[2]));
+  EXPECT_TRUE(set.contains(chain[3]));
+  EXPECT_TRUE(set.erase(chain[2]));
+  EXPECT_TRUE(set.contains(chain[1]));
+  EXPECT_FALSE(set.contains(chain[2]));
+  EXPECT_TRUE(set.contains(chain[3]));
+  EXPECT_EQ(set.size(), 2u);
+}
+
+TEST(TripleSet, EraseAcrossTheWrapAround) {
+  // Three triples homed at the last slot occupy slots 31, 0 and 1; a
+  // triple homed at slot 0 lands behind them.  Erasing the one in slot 31
+  // must pull the wrapped entries back across the end of the array
+  // without moving the slot-0 triple in front of its home.
+  const std::vector<Triple> tail = homed_at(31, 3);
+  const std::vector<Triple> zero = homed_at(0, 1);
+  TripleSet set;
+  for (const Triple& t : tail) {
+    ASSERT_TRUE(set.insert(t));
+  }
+  ASSERT_TRUE(set.insert(zero[0]));
+  EXPECT_TRUE(set.erase(tail[0]));
+  EXPECT_TRUE(set.contains(tail[1]));
+  EXPECT_TRUE(set.contains(tail[2]));
+  EXPECT_TRUE(set.contains(zero[0]));
+  EXPECT_TRUE(set.erase(tail[1]));
+  EXPECT_TRUE(set.erase(tail[2]));
+  EXPECT_TRUE(set.contains(zero[0]));
+  EXPECT_EQ(set.size(), 1u);
+}
+
+TEST(TripleSet, EraseThenReinsertAndEraseAbsent) {
+  TripleSet set;
+  EXPECT_FALSE(set.erase({1, 2, 3}));  // empty set: nothing to probe
+  set.insert({1, 2, 3});
+  set.insert({4, 5, 6});
+  EXPECT_FALSE(set.erase({7, 8, 9}));  // absent
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_TRUE(set.erase({1, 2, 3}));
+  EXPECT_FALSE(set.erase({1, 2, 3}));  // already gone
+  EXPECT_TRUE(set.insert({1, 2, 3}));  // new again
+  EXPECT_FALSE(set.insert({1, 2, 3}));
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_TRUE(set.contains({1, 2, 3}));
+  EXPECT_TRUE(set.contains({4, 5, 6}));
+}
+
+TEST(TripleSet, RandomInsertsAndErasesMatchStdSet) {
+  // A small key space keeps chains long and crowded; every step checks
+  // membership of every key against std::set.
+  std::mt19937 rng(17);
+  std::uniform_int_distribution<TermId> id(1, 6);
+  TripleSet set;
+  std::set<Triple> want;
+  for (int step = 0; step < 3000; ++step) {
+    const Triple t{id(rng), id(rng), id(rng)};
+    if (rng() % 3 == 0) {
+      EXPECT_EQ(set.erase(t), want.erase(t) == 1) << step;
+    } else {
+      EXPECT_EQ(set.insert(t), want.insert(t).second) << step;
+    }
+    ASSERT_EQ(set.size(), want.size()) << step;
+    if (step % 100 == 0) {
+      for (TermId s = 1; s <= 6; ++s) {
+        for (TermId p = 1; p <= 6; ++p) {
+          for (TermId o = 1; o <= 6; ++o) {
+            ASSERT_EQ(set.contains({s, p, o}), want.count({s, p, o}) == 1)
+                << step;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SmallIdList, EraseKeepsOrderAndMovesBackInline) {
+  SmallIdList list;
+  for (std::uint32_t i = 1; i <= 6; ++i) {
+    list.push_back(i);
+  }
+  EXPECT_FALSE(list.erase(42));
+  EXPECT_TRUE(list.erase(2));  // spilled: 6 -> 5 entries
+  EXPECT_EQ(std::vector<std::uint32_t>(list.view().begin(), list.view().end()),
+            (std::vector<std::uint32_t>{1, 3, 4, 5, 6}));
+  EXPECT_TRUE(list.erase(6));  // 5 -> kInline: back to the inline buffer
+  EXPECT_EQ(std::vector<std::uint32_t>(list.view().begin(), list.view().end()),
+            (std::vector<std::uint32_t>{1, 3, 4, 5}));
+  EXPECT_TRUE(list.erase(1));
+  list.push_back(7);
+  list.push_back(8);  // spills again from the inline buffer
+  EXPECT_EQ(std::vector<std::uint32_t>(list.view().begin(), list.view().end()),
+            (std::vector<std::uint32_t>{3, 4, 5, 7, 8}));
+  EXPECT_EQ(list.size(), 5u);
+}
+
+/// A store of `log`, with the endpoint index built first when asked.
+TripleStore store_of(const std::vector<Triple>& log, bool endpoint_index) {
+  TripleStore s;
+  s.insert_all(log);
+  if (endpoint_index) {
+    s.for_subject_each(log.front().s, [](const Triple&) {});
+  }
+  return s;
+}
+
+/// Erase `doomed` from a store of `log` and check it against a store built
+/// from the survivors, with and without the endpoint index built before.
+void check_erase_all(const std::vector<Triple>& log,
+                     const std::vector<Triple>& doomed) {
+  const TripleSet doomed_set(doomed);
+  std::vector<Triple> survivors;
+  for (const Triple& t : log) {
+    if (!doomed_set.contains(t)) {
+      survivors.push_back(t);
+    }
+  }
+  TripleStore want;
+  want.insert_all(survivors);
+  for (const bool endpoint_index : {false, true}) {
+    TripleStore got = store_of(log, endpoint_index);
+    EXPECT_EQ(got.erase_all(doomed_set), log.size() - survivors.size());
+    EXPECT_TRUE(test::same_indexes(got, want, doomed))
+        << "endpoint index built before: " << endpoint_index;
+  }
+}
+
+/// A log with shared subjects, objects and predicates, long enough posting
+/// lists to spill, and predicates first seen at different depths.
+std::vector<Triple> erase_fixture() {
+  std::vector<Triple> log;
+  for (TermId i = 1; i <= 12; ++i) {
+    log.push_back({i, 100, 200});          // subjects(100, 200): 12 long
+    log.push_back({1, 101, 300 + i});      // objects(101, 1): 12 long
+    log.push_back({i, 102 + i % 3, i + 1});
+  }
+  log.push_back({50, 110, 51});  // a predicate with a single triple
+  return log;
+}
+
+TEST(TripleStore, EraseAllMatchesStoreOfSurvivors) {
+  const std::vector<Triple> log = erase_fixture();
+  // Scattered triples out of long and short lists, spilled to inline.
+  check_erase_all(log, {{3, 100, 200}, {1, 101, 305}, {1, 101, 306},
+                        {4, 103, 5}, {9, 100, 200}, {1, 101, 312}});
+  // Every subject of one long list: the list empties but the predicate
+  // keeps other triples.
+  std::vector<Triple> all_of_100;
+  for (TermId i = 1; i <= 12; ++i) {
+    all_of_100.push_back({i, 100, 200});
+  }
+  check_erase_all(log, all_of_100);
+  // The single triple of predicate 110: it leaves predicates().
+  check_erase_all(log, {{50, 110, 51}});
+  // The first triple of the log (predicate 100's first): predicate 100 is
+  // now first seen after 101, 103, 104 and predicates() must follow.
+  check_erase_all(log, {{1, 100, 200}, {2, 100, 200}});
+  // Absent triples are ignored next to present ones.
+  check_erase_all(log, {{77, 100, 200}, {1, 101, 301}, {5, 5, 5}});
+}
+
+TEST(TripleStore, EraseAllAbsentOnlyChangesNothing) {
+  const std::vector<Triple> log = erase_fixture();
+  TripleStore got = store_of(log, true);
+  EXPECT_EQ(got.erase_all(TripleSet(std::vector<Triple>{{77, 100, 200}})),
+            0u);
+  EXPECT_EQ(got.erase_all(TripleSet()), 0u);
+  EXPECT_TRUE(test::same_indexes(got, store_of(log, false)));
+}
+
+TEST(TripleStore, InsertAfterEraseAllMatchesFreshStore) {
+  // Re-inserting an erased triple and a dropped predicate lands them at the
+  // log's tail, the predicate at the end of predicates().
+  const std::vector<Triple> log = erase_fixture();
+  const std::vector<Triple> doomed = {{50, 110, 51}, {2, 100, 200}};
+  TripleStore got = store_of(log, true);
+  got.erase_all(TripleSet(doomed));
+  got.insert({50, 110, 51});
+  got.insert({60, 100, 200});
+  got.insert({2, 100, 200});
+
+  std::vector<Triple> want_log;
+  for (const Triple& t : log) {
+    if (std::find(doomed.begin(), doomed.end(), t) == doomed.end()) {
+      want_log.push_back(t);
+    }
+  }
+  want_log.push_back({50, 110, 51});
+  want_log.push_back({60, 100, 200});
+  want_log.push_back({2, 100, 200});
+  TripleStore want;
+  want.insert_all(want_log);
+  EXPECT_TRUE(test::same_indexes(got, want, doomed));
 }
 
 }  // namespace

@@ -315,10 +315,10 @@ TEST(SameAsEquivalence, MaintainerRejectsDeletionsTouchingTheMap) {
   std::vector<rdf::Triple> base = f.base.triples();
   const std::vector<rdf::Triple> log_before = rewrite.store.triples();
 
+  rdf::TripleSet base_set(base);
   reason::MaintainOptions mopts;
   mopts.equality_mode = reason::EqualityMode::kRewrite;
-  mopts.equality = &rewrite.eq;
-  const reason::Maintainer maintainer(f.dict, *f.vocab, mopts);
+  const reason::Maintainer maintainer(f.dict, *f.vocab, rewrite.store, mopts);
 
   // (a) deleting an asserted sameAs edge would shrink a clique.
   const auto same_as_edge =
@@ -328,7 +328,8 @@ TEST(SameAsEquivalence, MaintainerRejectsDeletionsTouchingTheMap) {
   ASSERT_NE(same_as_edge, base.end());
   {
     const reason::MaintainResult r =
-        maintainer.apply(rewrite.store, base, {}, {&*same_as_edge, 1});
+        maintainer.apply(rewrite.store, base, base_set, {},
+                         {&*same_as_edge, 1}, &rewrite.eq);
     EXPECT_TRUE(r.equality_rejected);
     EXPECT_EQ(rewrite.store.triples(), log_before) << "store must be intact";
   }
@@ -343,7 +344,8 @@ TEST(SameAsEquivalence, MaintainerRejectsDeletionsTouchingTheMap) {
   ASSERT_NE(tracked_payload, base.end());
   {
     const reason::MaintainResult r =
-        maintainer.apply(rewrite.store, base, {}, {&*tracked_payload, 1});
+        maintainer.apply(rewrite.store, base, base_set, {},
+                         {&*tracked_payload, 1}, &rewrite.eq);
     EXPECT_TRUE(r.equality_rejected);
     EXPECT_EQ(rewrite.store.triples(), log_before) << "store must be intact";
   }
@@ -357,10 +359,10 @@ TEST(SameAsEquivalence, MaintainerStillDeletesOnEqualityFreeData) {
   ASSERT_TRUE(rewrite.eq.empty());
   std::vector<rdf::Triple> base = f.base.triples();
 
+  rdf::TripleSet base_set(base);
   reason::MaintainOptions mopts;
   mopts.equality_mode = reason::EqualityMode::kRewrite;
-  mopts.equality = &rewrite.eq;
-  const reason::Maintainer maintainer(f.dict, *f.vocab, mopts);
+  const reason::Maintainer maintainer(f.dict, *f.vocab, rewrite.store, mopts);
 
   // Any instance triple will do; schema triples are rejected elsewhere.
   const ontology::Vocabulary& v = *f.vocab;
@@ -369,7 +371,8 @@ TEST(SameAsEquivalence, MaintainerStillDeletesOnEqualityFreeData) {
                    [&](const rdf::Triple& t) { return !v.is_schema_triple(t); });
   ASSERT_NE(instance, base.end());
   const reason::MaintainResult r =
-      maintainer.apply(rewrite.store, base, {}, {&*instance, 1});
+      maintainer.apply(rewrite.store, base, base_set, {}, {&*instance, 1},
+                       &rewrite.eq);
   EXPECT_FALSE(r.equality_rejected);
   EXPECT_FALSE(r.schema_changed);
   EXPECT_GT(r.base_deleted, 0u);

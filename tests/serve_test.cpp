@@ -310,6 +310,44 @@ TEST(QueryService, SingleLineQueriesSharingAPrefixGetTheirOwnRows) {
   }
 }
 
+TEST(QueryService, QueryPrefixDoesNotLeakIntoTheNextQuery) {
+  ServeFixtureData fx;
+  serve::QueryService service(fx.dict, *fx.vocab, std::move(fx.store),
+                              small_options());
+  // Client A declares `u:`; client B then uses `u:` without declaring it
+  // and must not parse against A's binding.
+  const serve::Response a = service.execute(
+      std::string("PREFIX u: <") + gen::kUnivBenchNs +
+      "> SELECT ?x WHERE { ?x a u:Course }");
+  ASSERT_EQ(a.status, serve::RequestStatus::kOk);
+  EXPECT_GT(a.results.size(), 0u);
+  const serve::Response b =
+      service.execute("SELECT ?x WHERE { ?x a u:Course }");
+  EXPECT_EQ(b.status, serve::RequestStatus::kParseError);
+}
+
+TEST(QueryService, RedeclaredServicePrefixAppliesToItsQueryOnly) {
+  ServeFixtureData fx;
+  serve::ServiceOptions opts = small_options();
+  opts.prefixes = {{"ub", std::string(gen::kUnivBenchNs)}};
+  serve::QueryService service(fx.dict, *fx.vocab, std::move(fx.store), opts);
+  const std::string q = "SELECT ?x WHERE { ?x a ub:Course }";
+  const serve::Response before = service.execute(q);
+  ASSERT_EQ(before.status, serve::RequestStatus::kOk);
+  ASSERT_GT(before.results.size(), 0u);
+
+  const serve::Response other = service.execute(
+      "PREFIX ub: <http://elsewhere.example/> SELECT ?x WHERE { ?x a "
+      "ub:Course }");
+  ASSERT_EQ(other.status, serve::RequestStatus::kOk);
+  EXPECT_EQ(other.results.size(), 0u);
+
+  // A new text misses the cache: its parse must see the registered binding.
+  const serve::Response after = service.execute(q + " LIMIT 100000");
+  ASSERT_EQ(after.status, serve::RequestStatus::kOk);
+  EXPECT_EQ(after.results.rows, before.results.rows);
+}
+
 TEST(QueryService, SchemaUpdateIsRejectedWithoutPublishing) {
   ServeFixtureData fx;
   serve::QueryService service(fx.dict, *fx.vocab, std::move(fx.store),

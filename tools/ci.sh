@@ -9,9 +9,9 @@
 # tier1 is every fast deterministic suite, tier2 the slower sweeps.  The
 # ASan subset covers the transport/worker/cluster/fault layers plus the
 # ingest pipeline, triple codec, partitioner suite (streaming state
-# machines + split-merge), and incremental maintenance (DRed/FBF store
-# rebuilds) — the places where serialization and concurrency bugs would
-# live.
+# machines + split-merge), and incremental maintenance (DRed/FBF in-place
+# store erases) — the places where serialization and concurrency bugs
+# would live.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,6 +26,18 @@ cmake --preset default
 echo "=== build ==="
 cmake --build --preset default -j "$jobs"
 
+echo "=== stable test names ==="
+# ctest records each gtest case under the name gtest prints for it, and
+# gtest prints a parameter as its raw bytes unless the type has a PrintTo.
+# Bytes that hold an address or padding give a name that changes from run
+# to run, so list every test binary twice and fail on any difference.
+for bin in build/tests/*_test; do
+  if ! cmp -s <("$bin" --gtest_list_tests) <("$bin" --gtest_list_tests); then
+    echo "test names of $bin differ between two listings" >&2
+    exit 1
+  fi
+done
+
 echo "=== tier1 tests ==="
 ctest --preset default -j "$jobs" -L tier1
 
@@ -34,20 +46,21 @@ if [ "$full" = 1 ]; then
   ctest --preset default -j "$jobs" -L tier2
 fi
 
-echo "=== asan subset (transport/worker/cluster/fault/async/ingest/codec/dist/incremental/sameas/partition) ==="
+echo "=== asan subset (transport/worker/cluster/fault/async/ingest/codec/dist/erase/incremental/sameas/partition) ==="
 cmake --preset asan
 cmake --build --preset asan -j "$jobs" \
   --target transport_test worker_test cluster_test fault_injection_test \
   async_test async_equivalence_test codec_test ingest_equivalence_test \
-  dist_test incremental_test incremental_equivalence_test \
+  dist_test rdf_test incremental_test incremental_equivalence_test \
   sameas_equivalence_test sameas_serve_test graph_partition_test
-ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|Dist|Incremental|SameAs|Partition|Streaming|SplitMerge'
+ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|Dist|Erase|Incremental|SameAs|Partition|Streaming|SplitMerge'
 
-echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop, equality rewrite, reader->partitioner chunk sink, threaded base loads + master merge) ==="
+echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop + in-place erase maintenance, equality rewrite, reader->partitioner chunk sink, threaded base loads + master merge) ==="
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" --target obs_test dist_test async_test \
-  incremental_test sameas_equivalence_test sameas_serve_test \
-  graph_partition_test merge_equivalence_test
-ctest --preset tsan -j "$jobs" -R 'Obs|Dist|Async|IncrementalServe|SameAs|StreamingPartitioner|MergeEquivalence'
+  rdf_test incremental_test incremental_equivalence_test \
+  sameas_equivalence_test sameas_serve_test graph_partition_test \
+  merge_equivalence_test
+ctest --preset tsan -j "$jobs" -R 'Obs|Dist|Async|Erase|IncrementalServe|IncrementalMaintain|IncrementalEquivalence|SameAs|StreamingPartitioner|MergeEquivalence'
 
 echo "=== ci green ==="

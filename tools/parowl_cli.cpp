@@ -612,8 +612,10 @@ int cmd_update(const Args& args) {
                       : reason::MaintainStrategy::kDRed;
   opts.threads = threads;
   opts.obs = obs_options_from(args);
-  const reason::Maintainer maintainer(dict, vocab, opts);
-  const reason::MaintainResult r = maintainer.apply(store, base, adds, dels);
+  const reason::Maintainer maintainer(dict, vocab, store, opts);
+  rdf::TripleSet base_set(base);
+  const reason::MaintainResult r =
+      maintainer.apply(store, base, base_set, adds, dels);
   if (r.schema_changed) {
     std::cerr << "update rejected: the batch touches schema triples — "
                  "re-materialize instead\n";
