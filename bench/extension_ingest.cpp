@@ -136,7 +136,8 @@ void BM_CodecDecode(benchmark::State& state) {
     std::istringstream in(bytes);
     std::size_t n = 0;
     const bool ok = rdf::codec::read_blocks(
-        in, ts.size(), [&n](const rdf::Triple&) { ++n; });
+        in, ts.size(),
+        [&n](std::span<const rdf::Triple> block) { n += block.size(); });
     benchmark::DoNotOptimize(ok);
     benchmark::DoNotOptimize(n);
   }

@@ -56,6 +56,10 @@ int main(int argc, char** argv) {
   const auto part_of = dict.find_iri(std::string(gen::kMdcNs) + "partOf");
   const auto well = dict.find_iri("http://cisoft.usc.edu/data/Field0/Well0_0");
 
+  // The batches add instance triples only, so the schema — and the
+  // rule-base compiled from it — is fixed for the whole feed.
+  const rules::CompiledRules compiled = reason::compile_ontology(kb, vocab);
+
   // The feed: each batch adds new measurements on an existing sensor plus a
   // freshly drilled completion on an existing well — the completion's
   // transitive partOf chain (well -> reservoir -> field) and the hasPart
@@ -75,8 +79,9 @@ int main(int argc, char** argv) {
     batch.push_back({completion, type, c_completion});
     batch.push_back({completion, part_of, well});
     util::Stopwatch batch_watch;
-    const auto inc =
-        reason::materialize_incremental(kb, dict, vocab, batch);
+    const auto inc = reason::materialize_incremental(
+        kb, dict, vocab, batch, {}, 1, reason::EqualityMode::kNaive, nullptr,
+        &compiled);
     std::cout << "batch " << b << ": +" << inc.added << " facts, +"
               << inc.inferred << " inferences in "
               << util::format_seconds(batch_watch.elapsed_seconds()) << "\n";

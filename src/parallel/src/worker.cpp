@@ -806,7 +806,9 @@ bool Worker::load_checkpoint(std::istream& in, std::uint32_t* round,
   std::vector<rdf::Triple> log;
   log.reserve(static_cast<std::size_t>(ntriples));
   if (!rdf::codec::read_blocks(
-          in, ntriples, [&log](const rdf::Triple& t) { log.push_back(t); })) {
+          in, ntriples, [&log](std::span<const rdf::Triple> block) {
+            log.insert(log.end(), block.begin(), block.end());
+          })) {
     return fail("truncated checkpoint (triples)");
   }
 
@@ -867,9 +869,10 @@ bool Worker::load_checkpoint(std::istream& in, std::uint32_t* round,
       return fail("truncated checkpoint (outbox entry)");
     }
     e.tuples.reserve(static_cast<std::size_t>(ntuples));
-    if (!rdf::codec::read_blocks(in, ntuples, [&e](const rdf::Triple& t) {
-          e.tuples.push_back(t);
-        })) {
+    if (!rdf::codec::read_blocks(
+            in, ntuples, [&e](std::span<const rdf::Triple> block) {
+              e.tuples.insert(e.tuples.end(), block.begin(), block.end());
+            })) {
       return fail("truncated checkpoint (outbox tuples)");
     }
     outbox.push_back(std::move(e));

@@ -1,26 +1,39 @@
 #pragma once
 
 // Parallel ingest pipeline: split the input into chunks at safe statement
-// boundaries, parse each chunk on its own thread into thread-local intern
-// tables, then merge the thread-local dictionaries in chunk order so global
-// TermIds are assigned in canonical first-occurrence-by-byte-offset order.
-// The resulting Dictionary and TripleStore are bit-identical to the serial
-// parser for any thread count (the same invariant the materializer and the
-// cluster runtime keep for closure).
+// boundaries, parse each chunk on its own thread into a thread-local
+// dictionary and a flat triple list, then merge the chunks in chunk order
+// so global TermIds are assigned in canonical first-occurrence-by-byte-offset
+// order.  The resulting Dictionary and TripleStore are bit-identical to the
+// serial parser for any thread count (the same invariant the materializer
+// and the cluster runtime keep for closure).
 //
 // Stages:
 //   1. scan   — find split points: newline boundaries (N-Triples) or the
 //               conservative top-level statement scanner (Turtle), plus the
 //               prefix/base environment at each chunk start.
-//   2. parse  — each thread parses its chunk into a local Dictionary and
-//               TripleStore with the shared serial line parser, recording
-//               local ParseStats and error positions.
-//   3. merge  — walk chunks in order: Dictionary::intern_batch assigns
-//               global ids (chunk-order concatenation of local first-intern
-//               orders == serial first-occurrence order), triples are
-//               remapped and inserted in chunk order (reproducing the
-//               serial insertion log and duplicate counts), and diagnostics
-//               are rebased to document-global line/byte positions.
+//   2. parse  — each thread parses its chunk with the shared serial line
+//               parser into a local Dictionary and a std::vector<Triple> of
+//               every parsed triple (duplicates kept), recording local
+//               ParseStats and error positions.
+//   3. merge  — on the ingest threads, in four timed steps:
+//               dict   — Dictionary::merge: each term-hash shard's owner
+//                        keeps the first occurrence of every term across
+//                        the chunks in order, a prefix sum over the chunks'
+//                        counts of new terms gives the final ids (chunk-
+//                        order concatenation of local first-intern orders
+//                        == serial first-occurrence order), and the strings
+//                        move into the global dictionary; the chunks'
+//                        triples are then remapped to global ids;
+//               insert — one bulk TripleStore::insert_all over the chunks'
+//                        triples in chunk order (reproducing the serial
+//                        insertion log; duplicates = parsed - inserted);
+//               sink   — each chunk's slice of the appended log goes to
+//                        IngestOptions::chunk_sink, in chunk order;
+//               free   — the chunk tables are freed on the threads that
+//                        built them.
+//               Diagnostics are rebased to document-global line/byte
+//               positions.
 
 #include <cstddef>
 #include <functional>
@@ -38,14 +51,15 @@
 namespace parowl::rdf {
 
 struct IngestOptions {
-  /// Worker threads for the parse stage; 0 = hardware concurrency.
+  /// Worker threads for the parse and merge stages; 0 = hardware
+  /// concurrency.
   unsigned threads = 1;
 
   /// Observability sinks/sampling (docs/architecture.md "Observability").
   obs::ObsOptions obs;
 
-  /// Streaming consumer invoked during the merge stage with each newly
-  /// inserted (deduplicated, globally interned) slice of the store's
+  /// Streaming consumer invoked during the merge stage with each chunk's
+  /// newly inserted (deduplicated, globally interned) slice of the store's
   /// insertion log.  The concatenation of the slices is the store's full
   /// appended range in canonical order, independent of `threads` — the same
   /// bit-identity invariant the parser itself keeps — so streaming
@@ -63,6 +77,7 @@ struct IngestStats {
   double scan_seconds = 0.0;   // boundary scan + env pre-pass
   double parse_seconds = 0.0;  // parallel chunk parsing (wall clock)
   double merge_seconds = 0.0;  // dictionary merge + remap + store insert
+                               // + chunk_sink calls + freeing the chunks
 };
 
 /// Stats protocol (obs/report.hpp): obs::to_json / obs::print / obs::publish.

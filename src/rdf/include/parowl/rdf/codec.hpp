@@ -90,10 +90,11 @@ std::size_t write_blocks(std::ostream& out, std::span<const Triple> ts,
                          std::size_t block_triples = kBlockTriples);
 
 /// Read blocks until exactly `expected` triples have been decoded,
-/// invoking `sink(t)` for each in order.  Returns false on any block
-/// failure or if a block overshoots `expected`.
+/// invoking `sink(block)` for each decoded block in order (the span is
+/// valid only for the call).  Returns false on any block failure or if a
+/// block overshoots `expected`.
 bool read_blocks(std::istream& in, std::uint64_t expected,
-                 const std::function<void(const Triple&)>& sink,
+                 const std::function<void(std::span<const Triple>)>& sink,
                  std::string* error = nullptr);
 
 /// Convenience: encoded size of `ts` as blocks, without keeping the bytes.

@@ -1,9 +1,12 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "parowl/rdf/term.hpp"
@@ -17,6 +20,10 @@ namespace parowl::rdf {
 /// the build phase are safe from any thread.  Lexical forms are stored
 /// undecorated: IRIs without angle brackets, literals without quotes, blank
 /// nodes without the "_:" prefix; `TermKind` carries the category.
+///
+/// The intern index is split into 64 shards by term hash, each an
+/// open-addressing table of (id, hash) slots that compares through the
+/// entries, so a bulk merge can fill every shard on its own thread.
 class Dictionary {
  public:
   Dictionary();
@@ -46,12 +53,21 @@ class Dictionary {
     return input_bytes / 96 + 16;
   }
 
-  /// Bulk-merge every term of `other` (in its id order) into this
-  /// dictionary.  `remap` maps the other dictionary's ids to this one's:
-  /// remap[id_in_other] == id_here, with remap[0] == kAnyTerm.  Used by the
-  /// parallel ingest merge phase: merging thread-local dictionaries in
-  /// chunk order reproduces the serial first-occurrence id assignment.
-  void intern_batch(const Dictionary& other, std::vector<TermId>& remap);
+  /// Append the terms of `parts` this dictionary lacks, with the ids that
+  /// interning part 0's terms in id order, then part 1's, and so on, would
+  /// give them, and return one remap per part: remap[c][id_in_part] ==
+  /// id_here, remap[c][0] == kAnyTerm.  The parallel ingest merges its
+  /// chunk-local dictionaries this way, in chunk order, which reproduces
+  /// the serial first-occurrence ids.
+  ///
+  /// The work is sharded by term hash over up to `threads` threads: each
+  /// shard's owner walks the parts in order and keeps the first occurrence
+  /// of every term, a prefix sum over the parts' counts of new terms gives
+  /// the final ids, and each shard's index is filled in place.  Lexical
+  /// forms are moved out of the parts, not copied: afterwards the parts
+  /// are only fit to be destroyed.
+  std::vector<std::vector<TermId>> merge(std::span<Dictionary> parts,
+                                         unsigned threads);
 
   /// Look up an existing term; returns kAnyTerm (0) if absent.
   [[nodiscard]] TermId find(std::string_view lexical, TermKind kind) const;
@@ -79,19 +95,46 @@ class Dictionary {
     TermKind kind;
   };
 
-  struct Key {
-    std::string_view lexical;
-    TermKind kind;
-    friend bool operator==(const Key&, const Key&) = default;
+  /// One shard of the intern index: open addressing over (id, low 32 bits
+  /// of the term hash), load factor <= 1/2.  A slot names its term by id
+  /// and compares through entries_, so the index holds no pointer into the
+  /// strings and stays valid when a dictionary is copied or moved.
+  struct Slot {
+    TermId id = kAnyTerm;  // kAnyTerm marks an empty slot
+    std::uint32_t hash = 0;
   };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept;
+  struct Shard {
+    std::vector<Slot> slots;
+    std::size_t size = 0;
+
+    /// Make room for `n` terms in all without regrowing on the way.
+    void reserve(std::size_t n);
+
+    /// The slot holding the term for which `same(id)` holds, or the empty
+    /// slot where it belongs.  Precondition: room for one more term.
+    template <typename Same>
+    Slot& probe(std::uint32_t hash, Same&& same) {
+      const std::size_t mask = slots.size() - 1;
+      for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+        Slot& slot = slots[i];
+        if (slot.id == kAnyTerm || (slot.hash == hash && same(slot.id))) {
+          return slot;
+        }
+      }
+    }
   };
 
-  // Entries live in a deque so string_views held by the map stay valid as
-  // the dictionary grows.
+  static constexpr unsigned kShardBits = 6;
+  static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
+
+  /// 64-bit hash of a term: the top kShardBits pick the shard, the low 32
+  /// bits are kept in its slot.
+  static std::uint64_t hash(std::string_view lexical, TermKind kind);
+
+  // A deque, so references returned by lexical() stay valid as the
+  // dictionary grows.
   std::deque<Entry> entries_;
-  std::unordered_map<Key, TermId, KeyHash> index_;
+  std::array<Shard, kShards> index_;
 };
 
 }  // namespace parowl::rdf

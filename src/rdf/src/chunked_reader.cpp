@@ -8,18 +8,19 @@
 
 #include "parowl/obs/obs.hpp"
 #include "parowl/rdf/turtle.hpp"
+#include "parowl/util/parallel.hpp"
 #include "parowl/util/strings.hpp"
 #include "parowl/util/timer.hpp"
 
 namespace parowl::rdf {
 namespace {
 
-/// Everything one parse worker produces.  Thread-local tables use local
-/// TermIds; stats/diagnostics are local to the chunk until the merge rebases
-/// them (N-Triples) — the Turtle fragment parser formats globally itself.
+/// Everything one parse worker produces besides its dictionary: the
+/// chunk's triples in local TermIds, in parse order with duplicates kept,
+/// and stats/diagnostics local to the chunk until the merge rebases them
+/// (N-Triples) — the Turtle fragment parser formats globally itself.
 struct ChunkResult {
-  Dictionary dict;
-  TripleStore store;
+  std::vector<Triple> triples;
   ParseStats stats;
   std::size_t lines = 0;  // lines scanned (N-Triples; for error rebasing)
 };
@@ -35,8 +36,9 @@ unsigned resolve_threads(unsigned requested) {
 /// getline loop in parse_ntriples.  Diagnostics record chunk-local
 /// line/offset in first_error_line/first_error_offset; the message text is
 /// kept raw in first_error for the merge to format.
-void parse_ntriples_chunk(std::string_view chunk, ChunkResult& out) {
-  out.dict.reserve(Dictionary::estimate_terms(chunk.size()));
+void parse_ntriples_chunk(std::string_view chunk, Dictionary& dict,
+                          ChunkResult& out) {
+  dict.reserve(Dictionary::estimate_terms(chunk.size()));
   std::string error;
   std::size_t pos = 0;
   while (pos < chunk.size()) {
@@ -51,11 +53,9 @@ void parse_ntriples_chunk(std::string_view chunk, ChunkResult& out) {
       continue;
     }
     error.clear();
-    if (const auto t = parse_ntriples_line(line, out.dict, &error)) {
+    if (const auto t = parse_ntriples_line(line, dict, &error)) {
       ++out.stats.triples;
-      if (!out.store.insert(*t)) {
-        ++out.stats.duplicates;
-      }
+      out.triples.push_back(*t);
     } else {
       ++out.stats.bad_lines;
       if (out.stats.first_error_line == 0) {
@@ -67,49 +67,63 @@ void parse_ntriples_chunk(std::string_view chunk, ChunkResult& out) {
   }
 }
 
-/// Run `fn(i)` for i in [0, n) on `threads` workers (inline when 1).
-template <typename Fn>
-void run_parallel(std::size_t n, unsigned threads, Fn&& fn) {
-  if (threads <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.emplace_back([&fn, i] { fn(i); });
-  }
-  for (auto& t : pool) t.join();
-}
-
-/// Merge thread-local tables into the global ones, chunk order first —
-/// this is what makes global ids equal the serial first-occurrence order.
-/// Returns extra duplicates discovered across chunk boundaries.  After each
-/// chunk's triples land in the store, the freshly appended slice of the
-/// insertion log is handed to `sink` (when set) so streaming consumers see
-/// the exact serial-order delta regardless of thread count.
-std::size_t merge_chunks(std::vector<ChunkResult>& chunks, Dictionary& dict,
-                         TripleStore& store,
+/// Stage 3: merge the chunk-local tables into the global ones, chunk order
+/// first — this is what makes global ids, the insertion log and the
+/// duplicate count equal the serial parser's.  Returns the triples the
+/// store already held or that repeat an earlier one.  After the insert,
+/// each chunk's slice of the appended log is handed to `sink` (when set),
+/// in chunk order, so streaming consumers see the exact serial-order delta
+/// regardless of thread count.
+std::size_t merge_chunks(std::vector<Dictionary>& dicts,
+                         std::vector<ChunkResult>& chunks, Dictionary& dict,
+                         TripleStore& store, unsigned threads,
                          const IngestOptions& options) {
-  std::size_t total_terms = 0;
-  for (const ChunkResult& c : chunks) total_terms += c.dict.size();
-  dict.reserve(total_terms);
-  std::size_t cross_duplicates = 0;
-  std::vector<TermId> remap;
-  for (ChunkResult& c : chunks) {
-    dict.intern_batch(c.dict, remap);
-    const std::size_t before = store.size();
-    for (const Triple& t : c.store.triples()) {
-      if (!store.insert({remap[t.s], remap[t.p], remap[t.o]})) {
-        ++cross_duplicates;
+  const std::size_t n = chunks.size();
+  {
+    PAROWL_SPAN("rdf.merge.dict", {{"chunks", n}});
+    const std::vector<std::vector<TermId>> remap = dict.merge(dicts, threads);
+    util::run_tasks(n, threads, [&](std::size_t c) {
+      const std::vector<TermId>& r = remap[c];
+      for (Triple& t : chunks[c].triples) {
+        t = {r[t.s], r[t.p], r[t.o]};
       }
+    });
+  }
+  const std::size_t before = store.size();
+  std::vector<std::size_t> added;
+  {
+    PAROWL_SPAN("rdf.merge.insert", {{"chunks", n}});
+    std::vector<std::span<const Triple>> parts;
+    parts.reserve(n);
+    for (const ChunkResult& c : chunks) {
+      parts.emplace_back(c.triples);
     }
-    if (options.chunk_sink && store.size() > before) {
-      options.chunk_sink(std::span<const Triple>(store.triples())
-                             .subspan(before, store.size() - before));
+    added = store.insert_all(parts, threads);
+  }
+  std::size_t parsed = 0;
+  std::size_t inserted = 0;
+  {
+    PAROWL_SPAN("rdf.merge.sink", {{"chunks", n}});
+    const std::span<const Triple> log(store.triples());
+    for (std::size_t c = 0; c < n; ++c) {
+      if (options.chunk_sink && added[c] > 0) {
+        options.chunk_sink(log.subspan(before + inserted, added[c]));
+      }
+      parsed += chunks[c].triples.size();
+      inserted += added[c];
     }
   }
-  return cross_duplicates;
+  {
+    // The dictionaries' strings have moved into `dict`; what is left is
+    // their indexes and the chunks' triples, freed on the threads that
+    // allocated them.
+    PAROWL_SPAN("rdf.merge.free", {{"chunks", n}});
+    util::run_tasks(n, threads, [&](std::size_t c) {
+      dicts[c] = Dictionary();
+      chunks[c].triples = std::vector<Triple>();
+    });
+  }
+  return parsed - inserted;
 }
 
 /// Serial-path variant: the whole appended range [before, size()) is one
@@ -125,7 +139,6 @@ void flush_serial_sink(const TripleStore& store, std::size_t before,
 void sum_stats(const std::vector<ChunkResult>& chunks, ParseStats& out) {
   for (const ChunkResult& c : chunks) {
     out.triples += c.stats.triples;
-    out.duplicates += c.stats.duplicates;
     out.bad_lines += c.stats.bad_lines;
   }
 }
@@ -181,16 +194,17 @@ IngestStats ingest_ntriples(std::string_view text, Dictionary& dict,
   }
   stats.scan_seconds = sw.elapsed_seconds();
   const std::size_t n = bounds.size() - 1;
+  std::vector<Dictionary> dicts(n);
   std::vector<ChunkResult> chunks(n);
   sw.restart();
   {
     PAROWL_SPAN("rdf.parse", {{"chunks", n}});
-    run_parallel(n, threads, [&](std::size_t i) {
+    util::run_tasks(n, threads, [&](std::size_t i) {
       obs::Span chunk_span("rdf.parse.chunk",
                            {{"chunk", i},
                             {"bytes", bounds[i + 1] - bounds[i]}});
       parse_ntriples_chunk(text.substr(bounds[i], bounds[i + 1] - bounds[i]),
-                           chunks[i]);
+                           dicts[i], chunks[i]);
     });
   }
   stats.parse_seconds = sw.elapsed_seconds();
@@ -199,7 +213,8 @@ IngestStats ingest_ntriples(std::string_view text, Dictionary& dict,
   sw.restart();
   PAROWL_SPAN("rdf.merge", {{"chunks", n}});
   sum_stats(chunks, stats.parse);
-  stats.parse.duplicates += merge_chunks(chunks, dict, store, options);
+  stats.parse.duplicates =
+      merge_chunks(dicts, chunks, dict, store, threads, options);
   // First malformed line, rebased to document-global line/byte numbers.
   std::size_t lines_before = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -282,19 +297,19 @@ IngestStats ingest_turtle(std::string_view text, Dictionary& dict,
   stats.scan_seconds = sw.elapsed_seconds();
 
   // Stage 2: parallel fragment parsing into thread-local tables.
+  std::vector<Dictionary> dicts(n);
   std::vector<ChunkResult> chunks(n);
   sw.restart();
   {
     PAROWL_SPAN("rdf.parse", {{"chunks", n}});
-    run_parallel(n, threads, [&](std::size_t i) {
+    util::run_tasks(n, threads, [&](std::size_t i) {
       obs::Span chunk_span("rdf.parse.chunk",
                            {{"chunk", i},
                             {"bytes", bounds[i + 1] - bounds[i]}});
-      chunks[i].dict.reserve(
-          Dictionary::estimate_terms(bounds[i + 1] - bounds[i]));
+      dicts[i].reserve(Dictionary::estimate_terms(bounds[i + 1] - bounds[i]));
       chunks[i].stats = parse_turtle_fragment(
-          text.substr(bounds[i], bounds[i + 1] - bounds[i]), chunks[i].dict,
-          chunks[i].store, envs[i], newline_base[i], bounds[i]);
+          text.substr(bounds[i], bounds[i + 1] - bounds[i]), dicts[i],
+          chunks[i].triples, envs[i], newline_base[i], bounds[i]);
     });
   }
   stats.parse_seconds = sw.elapsed_seconds();
@@ -304,7 +319,8 @@ IngestStats ingest_turtle(std::string_view text, Dictionary& dict,
   sw.restart();
   PAROWL_SPAN("rdf.merge", {{"chunks", n}});
   sum_stats(chunks, stats.parse);
-  stats.parse.duplicates += merge_chunks(chunks, dict, store, options);
+  stats.parse.duplicates =
+      merge_chunks(dicts, chunks, dict, store, threads, options);
   for (const ChunkResult& c : chunks) {
     if (!c.stats.first_error.empty()) {
       stats.parse.first_error = c.stats.first_error;

@@ -237,7 +237,7 @@ std::size_t write_blocks(std::ostream& out, std::span<const Triple> ts,
 }
 
 bool read_blocks(std::istream& in, std::uint64_t expected,
-                 const std::function<void(const Triple&)>& sink,
+                 const std::function<void(std::span<const Triple>)>& sink,
                  std::string* error) {
   std::uint64_t seen = 0;
   std::vector<Triple> block;
@@ -249,7 +249,7 @@ bool read_blocks(std::istream& in, std::uint64_t expected,
     if (seen + block.size() > expected) {
       return fail(error, "triple block overruns declared count");
     }
-    for (const Triple& t : block) sink(t);
+    sink(block);
     seen += block.size();
     if (block.empty() && seen < expected) {
       return fail(error, "empty triple block before declared count");

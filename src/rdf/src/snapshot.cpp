@@ -1,9 +1,12 @@
 #include "parowl/rdf/snapshot.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <span>
+#include <thread>
 
 #include "parowl/rdf/codec.hpp"
 
@@ -241,13 +244,20 @@ bool load_snapshot_impl(std::istream& in, Dictionary& dict,
     return set_error(error, "truncated triple count");
   }
   bool in_range = true;
-  const auto sink = [&store, &in_range, terms](const Triple& t) {
-    if (t.s == kAnyTerm || t.s > terms || t.p == kAnyTerm || t.p > terms ||
-        t.o == kAnyTerm || t.o > terms) {
-      in_range = false;
-      return;
+  // Each decoded block goes to the store in one bulk insert, on every core:
+  // a load is the only work its caller has in progress.
+  const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
+  const auto sink = [&](std::span<const Triple> block) {
+    for (const Triple& t : block) {
+      if (t.s == kAnyTerm || t.s > terms || t.p == kAnyTerm || t.p > terms ||
+          t.o == kAnyTerm || t.o > terms) {
+        in_range = false;
+        return;
+      }
     }
-    store.insert(t);
+    if (in_range) {
+      store.insert_all(block, threads);
+    }
   };
   if (!codec::read_blocks(in, triples, sink, &codec_error)) {
     return set_error(error, codec_error);

@@ -21,14 +21,15 @@ constexpr std::string_view kXsdBoolean =
 /// seeded with the environment and global position of the fragment start).
 class TurtleParser {
  public:
-  TurtleParser(std::string_view text, Dictionary& dict, TripleStore& store,
-               TurtleEnv env = {}, std::size_t line_base = 0,
+  TurtleParser(std::string_view text, Dictionary& dict,
+               std::vector<Triple>& out, TurtleEnv env = {},
+               std::size_t line_base = 0,
                std::size_t byte_base = 0)
       : text_(text),
         line_base_(line_base),
         byte_base_(byte_base),
         dict_(dict),
-        store_(store),
+        out_(out),
         prefixes_(std::move(env.prefixes)),
         base_(std::move(env.base)) {}
 
@@ -213,9 +214,7 @@ class TurtleParser {
           return false;
         }
         ++stats_.triples;
-        if (!store_.insert({subject, predicate, object})) {
-          ++stats_.duplicates;
-        }
+        out_.push_back({subject, predicate, object});
         if (!match_char(',')) {
           break;
         }
@@ -400,7 +399,7 @@ class TurtleParser {
   std::size_t line_base_ = 0;
   std::size_t byte_base_ = 0;
   Dictionary& dict_;
-  TripleStore& store_;
+  std::vector<Triple>& out_;  // every parsed triple, duplicates included
   std::unordered_map<std::string, std::string> prefixes_;
   std::string base_;
   std::string error_;
@@ -419,14 +418,21 @@ ParseStats parse_turtle(std::istream& in, Dictionary& dict,
 ParseStats parse_turtle_text(std::string_view text, Dictionary& dict,
                              TripleStore& store) {
   dict.reserve(Dictionary::estimate_terms(text.size()));
-  return TurtleParser(text, dict, store).run();
+  std::vector<Triple> triples;
+  ParseStats stats = TurtleParser(text, dict, triples).run();
+  for (const Triple& t : triples) {
+    if (!store.insert(t)) {
+      ++stats.duplicates;
+    }
+  }
+  return stats;
 }
 
 ParseStats parse_turtle_fragment(std::string_view fragment, Dictionary& dict,
-                                 TripleStore& store, const TurtleEnv& env,
-                                 std::size_t line_base,
+                                 std::vector<Triple>& out,
+                                 const TurtleEnv& env, std::size_t line_base,
                                  std::size_t byte_base) {
-  return TurtleParser(fragment, dict, store, env, line_base, byte_base).run();
+  return TurtleParser(fragment, dict, out, env, line_base, byte_base).run();
 }
 
 TurtleSpans scan_turtle_spans(std::string_view text) {
@@ -520,8 +526,8 @@ TurtleEnv scan_turtle_env(std::string_view span, const TurtleEnv& env) {
   // relative-IRI resolution, and failure/recovery semantics are then exactly
   // those of a serial pass over the same bytes.
   Dictionary scratch_dict;
-  TripleStore scratch_store;
-  TurtleParser parser(span, scratch_dict, scratch_store, env);
+  std::vector<Triple> scratch_triples;
+  TurtleParser parser(span, scratch_dict, scratch_triples, env);
   parser.run();
   return std::move(parser).env();
 }

@@ -181,7 +181,11 @@ TEST(TripleBlock, WriteReadBlocksSpansManyBlocks) {
   std::vector<Triple> got;
   std::string error;
   ASSERT_TRUE(codec::read_blocks(
-      in, ts.size(), [&got](const Triple& t) { got.push_back(t); }, &error))
+      in, ts.size(),
+      [&got](std::span<const Triple> block) {
+        got.insert(got.end(), block.begin(), block.end());
+      },
+      &error))
       << error;
   EXPECT_EQ(got, ts);
 }
@@ -195,14 +199,16 @@ TEST(TripleBlock, ReadBlocksRejectsCountMismatch) {
   {
     std::istringstream in(out.str());
     std::string error;
-    EXPECT_FALSE(codec::read_blocks(in, 5, [](const Triple&) {}, &error));
+    EXPECT_FALSE(
+        codec::read_blocks(in, 5, [](std::span<const Triple>) {}, &error));
     EXPECT_EQ(error, "triple block overruns declared count");
   }
   // ...and declaring more must fail on stream exhaustion.
   {
     std::istringstream in(out.str());
     std::string error;
-    EXPECT_FALSE(codec::read_blocks(in, 11, [](const Triple&) {}, &error));
+    EXPECT_FALSE(
+        codec::read_blocks(in, 11, [](std::span<const Triple>) {}, &error));
     EXPECT_FALSE(error.empty());
   }
 }

@@ -1,22 +1,27 @@
 // The parallel ingest pipeline's contract: for any thread count, the
-// resulting Dictionary, TripleStore, and ParseStats are bit-identical to
-// the serial parser's.  These tests sweep threads over N-Triples and
-// Turtle inputs — including the adversarial Turtle shapes the statement
-// scanner must not mis-split on — and compare byte-for-byte via snapshots.
+// resulting Dictionary, TripleStore, ParseStats and chunk_sink stream are
+// bit-identical to the serial parser's.  These tests sweep threads over
+// N-Triples and Turtle inputs — including the adversarial Turtle shapes
+// the statement scanner must not mis-split on, and tables that already
+// hold terms and triples — and compare byte-for-byte via snapshots and
+// index by index.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "parowl/gen/lubm.hpp"
+#include "parowl/ontology/vocabulary.hpp"
 #include "parowl/rdf/chunked_reader.hpp"
 #include "parowl/rdf/ntriples.hpp"
 #include "parowl/rdf/snapshot.hpp"
 #include "parowl/rdf/turtle.hpp"
+#include "store_invariants.hpp"
 
 namespace parowl::rdf {
 namespace {
@@ -39,33 +44,55 @@ void expect_stats_equal(const ParseStats& got, const ParseStats& want,
   EXPECT_EQ(got.first_error_offset, want.first_error_offset) << label;
 }
 
+/// Fills the dictionary and store before a parse (or does nothing).
+using Prepare = void (*)(Dictionary&, TripleStore&);
+
+void start_empty(Dictionary&, TripleStore&) {}
+
 /// Sweep `ingest` over kThreadSweep and compare everything against the
-/// serial golden parse.
+/// serial golden parse, both starting from `prepare`'s tables: the
+/// dictionary and log bytes, every index, and the chunk_sink slices, whose
+/// concatenation must be the serial parse's appended range.
 template <typename SerialFn, typename IngestFn>
 void sweep(const std::string& text, SerialFn serial, IngestFn ingest,
-           const char* what) {
+           const char* what, Prepare prepare) {
   Dictionary golden_dict;
   TripleStore golden_store;
+  prepare(golden_dict, golden_store);
+  const std::size_t golden_before = golden_store.size();
   const ParseStats golden_stats = serial(text, golden_dict, golden_store);
   const std::string golden_bytes = snapshot_bytes(golden_dict, golden_store);
+  const std::vector<Triple> golden_appended(
+      golden_store.triples().begin() +
+          static_cast<std::ptrdiff_t>(golden_before),
+      golden_store.triples().end());
 
   for (const unsigned threads : kThreadSweep) {
     const std::string label =
         std::string(what) + " threads=" + std::to_string(threads);
     Dictionary dict;
     TripleStore store;
+    prepare(dict, store);
+    std::vector<Triple> sunk;
     IngestOptions opts;
     opts.threads = threads;
+    opts.chunk_sink = [&sunk](std::span<const Triple> slice) {
+      EXPECT_FALSE(slice.empty());
+      sunk.insert(sunk.end(), slice.begin(), slice.end());
+    };
     const IngestStats stats = ingest(text, dict, store, opts);
     expect_stats_equal(stats.parse, golden_stats, label);
     EXPECT_EQ(dict.size(), golden_dict.size()) << label;
     EXPECT_EQ(store.size(), golden_store.size()) << label;
     // Byte-identical: same term ids in the same order, same insertion log.
     EXPECT_EQ(snapshot_bytes(dict, store), golden_bytes) << label;
+    EXPECT_TRUE(test::same_indexes(store, golden_store)) << label;
+    EXPECT_EQ(sunk, golden_appended) << label;
   }
 }
 
-void sweep_ntriples(const std::string& text, const char* what) {
+void sweep_ntriples(const std::string& text, const char* what,
+                    Prepare prepare = start_empty) {
   sweep(
       text,
       [](const std::string& t, Dictionary& d, TripleStore& s) {
@@ -74,10 +101,11 @@ void sweep_ntriples(const std::string& text, const char* what) {
       },
       [](const std::string& t, Dictionary& d, TripleStore& s,
          const IngestOptions& o) { return ingest_ntriples(t, d, s, o); },
-      what);
+      what, prepare);
 }
 
-void sweep_turtle(const std::string& text, const char* what) {
+void sweep_turtle(const std::string& text, const char* what,
+                  Prepare prepare = start_empty) {
   sweep(
       text,
       [](const std::string& t, Dictionary& d, TripleStore& s) {
@@ -85,7 +113,7 @@ void sweep_turtle(const std::string& text, const char* what) {
       },
       [](const std::string& t, Dictionary& d, TripleStore& s,
          const IngestOptions& o) { return ingest_turtle(t, d, s, o); },
-      what);
+      what, prepare);
 }
 
 // ---------------------------------------------------------------------------
@@ -104,6 +132,43 @@ std::string lubm_ntriples(unsigned universities) {
 
 TEST(IngestEquivalence, NtriplesLubm1BitIdenticalAcrossThreads) {
   sweep_ntriples(lubm_ntriples(1), "lubm1.nt");
+}
+
+/// The ontology vocabulary interned first, as the CLI and the benchmark do
+/// before ingesting, plus stored triples the text repeats and one it does
+/// not: ingest then merges into tables that already hold terms and
+/// triples.
+void prepopulate(Dictionary& dict, TripleStore& store) {
+  const ontology::Vocabulary vocab(dict);
+  const TermId a = dict.intern_iri("http://x/a");
+  const TermId p = dict.intern_iri("http://x/p");
+  const TermId b = dict.intern_iri("http://x/b");
+  const TermId s3 = dict.intern_iri("http://x/s3");
+  const TermId o3 = dict.intern_iri("http://x/o3");
+  store.insert({a, p, b});
+  store.insert({s3, p, o3});
+  store.insert({a, vocab.rdf_type, vocab.owl_class});
+}
+
+TEST(IngestEquivalence, NtriplesIntoPrepopulatedTables) {
+  sweep_ntriples(lubm_ntriples(1), "lubm1.nt prepopulated", prepopulate);
+  std::string text;
+  for (int i = 0; i < 300; ++i) {
+    text += "<http://x/s" + std::to_string(i % 40) + "> <http://x/p> " +
+            "<http://x/o" + std::to_string(i % 30) + "> .\n";
+  }
+  text += "<http://x/a> <http://x/p> <http://x/b> .\n";
+  sweep_ntriples(text, "mixed.nt prepopulated", prepopulate);
+}
+
+TEST(IngestEquivalence, TurtleIntoPrepopulatedTables) {
+  std::string text = "@prefix x: <http://x/> .\n";
+  for (int i = 0; i < 200; ++i) {
+    text += "x:s" + std::to_string(i % 40) + " x:p x:o" +
+            std::to_string(i % 30) + " .\n";
+  }
+  text += "x:a x:p x:b .\n";
+  sweep_turtle(text, "mixed.ttl prepopulated", prepopulate);
 }
 
 TEST(IngestEquivalence, NtriplesWithDuplicatesCommentsAndErrors) {

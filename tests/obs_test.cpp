@@ -605,7 +605,42 @@ TEST_F(ObsDeterminismTest, TracedClusterRunEmitsPerWorkerSpans) {
   for (const char* name :
        {"reason.compile", "parallel.plan", "partition.metrics",
         "parallel.load", "parallel.finalize", "parallel.merge",
-        "parallel.teardown"}) {
+        "parallel.merge.insert", "parallel.teardown"}) {
+    EXPECT_NE(json.find(std::string("\"name\":\"") + name + "\""),
+              std::string::npos)
+        << name;
+  }
+}
+
+
+TEST_F(ObsDeterminismTest, TracedParallelIngestNamesEveryMergeStep) {
+  std::string text;
+  for (int i = 0; i < 400; ++i) {
+    text += "<http://x/s" + std::to_string(i % 90) + "> <http://x/p" +
+            std::to_string(i % 3) + "> <http://x/o" + std::to_string(i) +
+            "> .\n";
+  }
+  Tracer::global().clear();
+  Tracer::global().set_enabled(true);
+  rdf::TripleStore store;
+  rdf::IngestOptions opts;
+  opts.threads = 3;
+  const rdf::IngestStats stats = rdf::ingest_ntriples(text, dict, store, opts);
+  EXPECT_EQ(stats.parse.triples, 400u);
+
+  std::ostringstream os;
+  Tracer::global().write_json(os);
+  const std::string json = os.str();
+  Tracer::global().set_enabled(false);
+  Tracer::global().clear();
+
+  EXPECT_TRUE(JsonChecker(json).valid());
+  // Scan, parse and each step of the merge, including freeing the chunk
+  // tables, so no ingest time falls outside a named span.
+  for (const char* name :
+       {"rdf.ingest", "rdf.scan", "rdf.parse", "rdf.parse.chunk", "rdf.merge",
+        "rdf.merge.dict", "rdf.merge.insert", "rdf.merge.sink",
+        "rdf.merge.free"}) {
     EXPECT_NE(json.find(std::string("\"name\":\"") + name + "\""),
               std::string::npos)
         << name;
