@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <new>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
+#include "parowl/util/parallel.hpp"
 #include "parowl/util/rng.hpp"
 #include "parowl/util/strings.hpp"
 #include "parowl/util/table.hpp"
@@ -175,6 +179,27 @@ TEST(Table, ShortRowsArePadded) {
 TEST(Format, Helpers) {
   EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_int(-42), "-42");
+}
+
+TEST(RunTasks, RethrowsAHelperThreadsFailureAfterJoining) {
+  for (const unsigned threads : {2u, 4u}) {
+    // The calling thread holds its first task until a helper thread has
+    // failed one, so the failure is always a helper's.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> failed{false};
+    EXPECT_THROW(run_tasks(8, threads,
+                           [&](std::size_t) {
+                             if (std::this_thread::get_id() != caller) {
+                               failed = true;
+                               throw std::bad_alloc();
+                             }
+                             while (!failed) {
+                               std::this_thread::yield();
+                             }
+                           }),
+                 std::bad_alloc)
+        << "threads " << threads;
+  }
 }
 
 }  // namespace
