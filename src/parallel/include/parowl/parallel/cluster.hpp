@@ -28,12 +28,8 @@ enum class ExecutionMode {
   /// concurrency (used by the correctness tests and on multi-core hosts).
   kThreaded,
 
-  /// Asynchronous discrete-event simulation (no barriers): the §VI-B
-  /// improvement the paper proposes.  Handled by AsyncSimulator; the
-  /// round-based Cluster rejects this mode.
-  kAsyncSimulated,
-
-  /// Asynchronous execution over the real Transport/ack machinery, driven
+  /// Asynchronous execution (no round barrier), the improvement the paper
+  /// proposes in §VI-B, over the real Transport/ack machinery, driven
   /// deterministically on one thread with per-worker virtual clocks:
   /// workers drain arrivals as they come, evaluate bounded frontier
   /// chunks, steal frontier shards from the most-backlogged peer when
@@ -49,15 +45,20 @@ enum class ExecutionMode {
 };
 
 /// Communication-cost model used to convert measured traffic into the
-/// simulated makespan.
+/// simulated makespan.  Over a FileTransport the Cluster charges the
+/// measured transport seconds instead.
 struct NetworkModel {
-  /// When true (automatic for FileTransport), use measured transport
-  /// seconds as the per-round communication cost.
-  bool use_measured_io = false;
-
   double latency_seconds = 100e-6;          // per message
-  double bandwidth_bytes_per_sec = 125e6;   // ~1 Gbit/s
+  double bandwidth_bytes_per_sec = 125e6;   // ~1 Gbit/s; must be > 0
   double bytes_per_tuple = 64.0;            // serialized triple estimate
+
+  /// Modelled cost of `messages` messages carrying `tuples` tuples.
+  [[nodiscard]] double comm_seconds(std::size_t messages,
+                                    std::size_t tuples) const {
+    return latency_seconds * static_cast<double>(messages) +
+           bytes_per_tuple * static_cast<double>(tuples) /
+               bandwidth_bytes_per_sec;
+  }
 };
 
 /// Round-granular checkpointing.  A checkpoint is taken at a round
@@ -219,6 +220,7 @@ struct ClusterResult {
 /// firings, round stats — is bit-identical whether or not faults occurred.
 class Cluster {
  public:
+  /// Throws std::invalid_argument when the network bandwidth is not > 0.
   Cluster(Transport& transport, ClusterOptions options);
 
   /// Add a worker; returns its id (= insertion order).
@@ -254,11 +256,16 @@ class Cluster {
   void deliver_round_sequential(std::uint32_t round);
   void checkpoint_worker(Worker& worker, std::uint32_t round);
   [[nodiscard]] bool checkpoint_due(std::uint32_t round) const;
+  /// One round's communication cost for one worker: measured or modelled.
+  [[nodiscard]] double comm_seconds(const RoundStats& rs) const;
   void finalize(ClusterResult& result);
   void finalize_async(ClusterResult& result, const AsyncStats& stats);
 
   Transport& transport_;
   ClusterOptions options_;
+  /// Charge measured transport seconds rather than the network model
+  /// (set for file transports: there the IO time is the real cost).
+  bool measured_io_ = false;
   std::vector<std::unique_ptr<Worker>> workers_;
   AckBoard ack_board_;
 

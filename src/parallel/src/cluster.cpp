@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
-#include <cassert>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -55,13 +54,16 @@ class BusyGuard {
 }  // namespace
 
 Cluster::Cluster(Transport& transport, ClusterOptions options)
-    : transport_(transport), options_(std::move(options)) {
-  obs::configure(options_.obs);
-  if (transport_.name().find("file") != std::string::npos) {
-    // File IPC: the measured read/write/parse time *is* the communication
-    // cost, as in the paper's shared-filesystem implementation.
-    options_.network.use_measured_io = true;
+    : transport_(transport),
+      options_(std::move(options)),
+      // File IPC: the measured read/write/parse time *is* the communication
+      // cost, as in the paper's shared-filesystem implementation.
+      measured_io_(transport_.name().find("file") != std::string::npos) {
+  if (!(options_.network.bandwidth_bytes_per_sec > 0.0)) {
+    throw std::invalid_argument(
+        "NetworkModel.bandwidth_bytes_per_sec must be > 0");
   }
+  obs::configure(options_.obs);
   if (!options_.checkpoint.dir.empty()) {
     fs::create_directories(options_.checkpoint.dir);
   }
@@ -72,7 +74,7 @@ std::uint32_t Cluster::add_worker(rules::RuleSet rule_base,
                                   WorkerOptions worker_options) {
   const auto id = static_cast<std::uint32_t>(workers_.size());
   workers_.push_back(std::make_unique<Worker>(
-      id, std::move(rule_base), std::move(router), &transport_,
+      id, std::move(rule_base), std::move(router), transport_,
       worker_options));
   return id;
 }
@@ -173,8 +175,6 @@ std::int64_t Cluster::restore_from_checkpoints() {
 }
 
 ClusterResult Cluster::run() {
-  assert(options_.mode != ExecutionMode::kAsyncSimulated &&
-         "async mode is handled by AsyncSimulator, not Cluster");
   if (obs::Tracer::global().enabled()) {
     // Per-worker virtual tracks (100 + id, matching worker.cpp) so the
     // trace has one row per worker even in sequential-simulated mode.
@@ -458,12 +458,6 @@ ClusterResult Cluster::run_async() {
     }
   }
 
-  const double bw = std::max(1.0, net.bandwidth_bytes_per_sec);
-  const auto comm_cost = [&](std::size_t batches, std::size_t tuples) {
-    return net.latency_seconds * static_cast<double>(batches) +
-           net.bytes_per_tuple * static_cast<double>(tuples) / bw;
-  };
-
   std::uint32_t stalled_cycles = 0;
   while (!terminated) {
     bool any_progress = false;
@@ -510,7 +504,7 @@ ClusterResult Cluster::run_async() {
       if (worker.backlog() > 0) {
         const auto step = worker.async_step(ao.chunk, nullptr);
         c.vclock += step.compute_seconds +
-                    comm_cost(step.sent_batches, step.sent_tuples);
+                    net.comm_seconds(step.sent_batches, step.sent_tuples);
         c.activations += 1;
         stats.activations += 1;
         c.dirty = true;
@@ -542,7 +536,7 @@ ClusterResult Cluster::run_async() {
           const std::size_t shipped =
               worker.ship_steal_results(victim, derivations, nullptr);
           c.vclock += steal_watch.elapsed_seconds() +
-                      comm_cost(shipped > 0 ? 2 : 0, shipped);
+                      net.comm_seconds(shipped > 0 ? 2 : 0, shipped);
           c.activations += 1;
           stats.activations += 1;
           stats.steals += 1;
@@ -995,9 +989,15 @@ void Cluster::finalize_async(ClusterResult& result, const AsyncStats& stats) {
                static_cast<std::uint64_t>(stats.idle_seconds * 1e9));
 }
 
+double Cluster::comm_seconds(const RoundStats& rs) const {
+  return measured_io_ ? rs.io_seconds
+                      : options_.network.comm_seconds(
+                            rs.sent_messages,
+                            rs.sent_tuples + rs.received_tuples);
+}
+
 void Cluster::finalize(ClusterResult& result) {
   PAROWL_SPAN("parallel.finalize", {{"workers", workers_.size()}});
-  const NetworkModel& net = options_.network;
 
   // Per-round maxima and the simulated makespan.
   result.breakdown.assign(result.rounds, RoundBreakdown{});
@@ -1013,14 +1013,7 @@ void Cluster::finalize(ClusterResult& result) {
       rb.aggregate_max = std::max(rb.aggregate_max, rs.aggregate_seconds);
       rb.tuples_exchanged += rs.sent_tuples;
 
-      const double comm =
-          net.use_measured_io
-              ? rs.io_seconds
-              : net.latency_seconds * static_cast<double>(rs.sent_messages) +
-                    net.bytes_per_tuple *
-                        static_cast<double>(rs.sent_tuples +
-                                            rs.received_tuples) /
-                        net.bandwidth_bytes_per_sec;
+      const double comm = comm_seconds(rs);
       rb.io_max = std::max(rb.io_max, comm);
       compute_max = std::max(
           compute_max, rs.reason_seconds + rs.aggregate_seconds + comm);
@@ -1033,17 +1026,8 @@ void Cluster::finalize(ClusterResult& result) {
           continue;
         }
         RoundStats& rs = worker->mutable_rounds()[round];
-        const double comm =
-            net.use_measured_io
-                ? rs.io_seconds
-                : net.latency_seconds *
-                          static_cast<double>(rs.sent_messages) +
-                      net.bytes_per_tuple *
-                          static_cast<double>(rs.sent_tuples +
-                                              rs.received_tuples) /
-                          net.bandwidth_bytes_per_sec;
         const double own =
-            rs.reason_seconds + rs.aggregate_seconds + comm;
+            rs.reason_seconds + rs.aggregate_seconds + comm_seconds(rs);
         rs.sync_seconds = std::max(0.0, compute_max - own);
       }
     }

@@ -41,13 +41,12 @@ std::uint32_t load_threads(std::size_t workers) {
 /// Load every worker's base, one thread per worker up to the core count:
 /// each worker owns its store, so the loads share nothing.  A load that
 /// throws (out of memory) is rethrown here once every thread has joined.
-template <typename Executor>
-void load_bases(Executor& executor, const std::vector<WorkerPlan>& workers) {
+void load_bases(Cluster& cluster, const std::vector<WorkerPlan>& workers) {
   PAROWL_SPAN("parallel.load", {{"workers", workers.size()}});
   util::run_tasks(workers.size(), load_threads(workers.size()),
                   [&](std::size_t w) {
-                    executor.load(static_cast<std::uint32_t>(w),
-                                  *workers[w].base);
+                    cluster.load(static_cast<std::uint32_t>(w),
+                                 *workers[w].base);
                   });
 }
 
@@ -66,12 +65,6 @@ void validate(const ParallelOptions& options) {
       options.rule_partitions == 0) {
     throw std::invalid_argument(
         "hybrid partitioning requires rule_partitions >= 1");
-  }
-  if (options.mode == ExecutionMode::kAsyncSimulated &&
-      options.transport != nullptr) {
-    throw std::invalid_argument(
-        "the async executor owns delivery; an external transport cannot "
-        "be combined with kAsyncSimulated");
   }
 }
 
@@ -174,51 +167,31 @@ ParallelResult parallel_materialize(const rdf::TripleStore& store,
   std::vector<const Worker*> workers;
 
   std::unique_ptr<Transport> owned_transport;
+  Transport* transport = options.transport;
+  if (transport == nullptr) {
+    owned_transport = std::make_unique<MemoryTransport>(num_workers);
+    transport = owned_transport.get();
+  }
   std::unique_ptr<FaultyTransport> faulty;
-  std::optional<Cluster> cluster;
-  std::optional<AsyncSimulator> async;
-
-  if (options.mode == ExecutionMode::kAsyncSimulated) {
-    async.emplace(num_workers, options.network, options.faults);
-    for (WorkerPlan& wp : plan.workers) {
-      async->add_worker(std::move(wp.rule_base), wp.router, wopts);
-    }
-    load_bases(*async, plan.workers);
-    result.async = async->run();
-    result.cluster.simulated_seconds = result.async->simulated_seconds;
-    result.cluster.sync_seconds = result.async->wait_seconds;
-    result.cluster.results_per_partition =
-        result.async->results_per_partition;
-    result.cluster.union_results = result.async->union_results;
-    for (std::uint32_t w = 0; w < num_workers; ++w) {
-      workers.push_back(&async->worker(w));
-    }
-  } else {
-    Transport* transport = options.transport;
-    if (transport == nullptr) {
-      owned_transport = std::make_unique<MemoryTransport>(num_workers);
-      transport = owned_transport.get();
-    }
-    if (options.faults != nullptr) {
-      faulty = std::make_unique<FaultyTransport>(*transport, *options.faults);
-      transport = faulty.get();
-    }
-    ClusterOptions copts;
-    copts.mode = options.mode;
-    copts.network = options.network;
-    copts.checkpoint = options.checkpoint;
-    copts.fault_tolerance = options.fault_tolerance;
-    copts.async = options.async_exec;
-    copts.obs = options.obs;
-    cluster.emplace(*transport, copts);
-    for (WorkerPlan& wp : plan.workers) {
-      cluster->add_worker(std::move(wp.rule_base), wp.router, wopts);
-    }
-    load_bases(*cluster, plan.workers);
-    result.cluster = cluster->run();
-    for (std::uint32_t w = 0; w < num_workers; ++w) {
-      workers.push_back(&cluster->worker(w));
-    }
+  if (options.faults != nullptr) {
+    faulty = std::make_unique<FaultyTransport>(*transport, *options.faults);
+    transport = faulty.get();
+  }
+  ClusterOptions copts;
+  copts.mode = options.mode;
+  copts.network = options.network;
+  copts.checkpoint = options.checkpoint;
+  copts.fault_tolerance = options.fault_tolerance;
+  copts.async = options.async_exec;
+  copts.obs = options.obs;
+  std::optional<Cluster> cluster(std::in_place, *transport, copts);
+  for (WorkerPlan& wp : plan.workers) {
+    cluster->add_worker(std::move(wp.rule_base), wp.router, wopts);
+  }
+  load_bases(*cluster, plan.workers);
+  result.cluster = cluster->run();
+  for (std::uint32_t w = 0; w < num_workers; ++w) {
+    workers.push_back(&cluster->worker(w));
   }
 
   if (options.on_workers_done) {
@@ -265,7 +238,6 @@ ParallelResult parallel_materialize(const rdf::TripleStore& store,
   // is a named span as well.
   PAROWL_SPAN("parallel.teardown", {{"workers", workers.size()}});
   cluster.reset();
-  async.reset();
   return result;
 }
 

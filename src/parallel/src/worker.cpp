@@ -23,7 +23,7 @@ std::uint32_t worker_track(std::uint32_t id) { return 100 + id; }
 }  // namespace
 
 Worker::Worker(std::uint32_t id, rules::RuleSet rule_base,
-               std::shared_ptr<const Router> router, Transport* transport,
+               std::shared_ptr<const Router> router, Transport& transport,
                WorkerOptions options)
     : id_(id),
       rule_base_(std::move(rule_base)),
@@ -143,7 +143,7 @@ std::size_t Worker::compute_and_send(std::uint32_t round) {
     batch.tuples = out.tuples;
     batch.checksum = batch_checksum(batch.tuples);
     pending_.push_back(batch);  // kept for retransmission until acked
-    transport_->send_batch(std::move(batch));
+    transport_.send_batch(std::move(batch));
     sent += out.tuples.size();
     rs.sent_messages += 1;
   }
@@ -160,7 +160,7 @@ std::size_t Worker::collect(std::uint32_t round, AckBoard* board) {
   RoundStats& rs = round_stats(round);
 
   util::Stopwatch io_watch;
-  std::vector<Batch> arrived = transport_->receive_batches(id_, round);
+  std::vector<Batch> arrived = transport_.receive_batches(id_, round);
   rs.io_seconds += io_watch.elapsed_seconds();
 
   std::size_t staged = 0;
@@ -168,7 +168,7 @@ std::size_t Worker::collect(std::uint32_t round, AckBoard* board) {
     rs.received_tuples += batch.tuples.size();
     if (!batch.intact || batch_checksum(batch.tuples) != batch.checksum) {
       rs.corrupt_batches += 1;
-      transport_->note_checksum_failure(id_);
+      transport_.note_checksum_failure(id_);
       continue;  // no ack: the sender will retransmit
     }
     const std::uint64_t id = batch.id();
@@ -177,7 +177,7 @@ std::size_t Worker::collect(std::uint32_t round, AckBoard* board) {
     }
     if (!seen_batches_.insert(id).second) {
       rs.redelivered += 1;
-      transport_->note_redelivery(id_);
+      transport_.note_redelivery(id_);
       continue;
     }
     stash_.push_back(std::move(batch));
@@ -199,7 +199,7 @@ std::size_t Worker::retransmit_unacked(std::uint32_t round,
   util::Stopwatch io_watch;
   for (Batch& batch : pending_) {
     batch.attempt += 1;
-    transport_->send_batch(batch);
+    transport_.send_batch(batch);
     rs.retransmitted += 1;
     resent += 1;
   }
@@ -255,7 +255,7 @@ void Worker::ship_async(Batch batch, std::vector<SentRecord>* sent) {
   if (log_outbox_ && batch.kind != BatchKind::kToken) {
     outbox_.push_back(OutboxEntry{batch, -1});
   }
-  transport_->send_batch(std::move(batch));
+  transport_.send_batch(std::move(batch));
 }
 
 Worker::AsyncArrivals Worker::async_collect(AckBoard* board) {
@@ -263,7 +263,7 @@ Worker::AsyncArrivals Worker::async_collect(AckBoard* board) {
   RoundStats& rs = round_stats(0);  // async stats accumulate on slot 0
 
   util::Stopwatch io_watch;
-  std::vector<Batch> arrived = transport_->receive_all(id_);
+  std::vector<Batch> arrived = transport_.receive_all(id_);
   rs.io_seconds += io_watch.elapsed_seconds();
 
   AsyncArrivals result;
@@ -272,7 +272,7 @@ Worker::AsyncArrivals Worker::async_collect(AckBoard* board) {
     rs.received_tuples += batch.tuples.size();
     if (!batch.intact || batch_checksum(batch.tuples) != batch.checksum) {
       rs.corrupt_batches += 1;
-      transport_->note_checksum_failure(id_);
+      transport_.note_checksum_failure(id_);
       continue;  // no ack: the sender will retransmit
     }
     const std::uint64_t id = batch.id();
@@ -281,7 +281,7 @@ Worker::AsyncArrivals Worker::async_collect(AckBoard* board) {
     }
     if (!seen_batches_.insert(id).second) {
       rs.redelivered += 1;
-      transport_->note_redelivery(id_);
+      transport_.note_redelivery(id_);
       continue;
     }
     if (batch.kind == BatchKind::kToken) {
@@ -507,7 +507,7 @@ std::size_t Worker::retransmit_unacked_async(const AckBoard& board) {
   util::Stopwatch io_watch;
   for (Batch& batch : pending_) {
     batch.attempt += 1;
-    transport_->send_batch(batch);
+    transport_.send_batch(batch);
     rs.retransmitted += 1;
     resent += 1;
   }
@@ -540,7 +540,7 @@ std::size_t Worker::resend_outbox(std::vector<SentRecord>* sent) {
       sent->push_back(SentRecord{copy.id(), copy.tuples.size()});
     }
     pending_.push_back(copy);
-    transport_->send_batch(std::move(copy));
+    transport_.send_batch(std::move(copy));
     resent += 1;
   }
   return resent;

@@ -139,23 +139,15 @@ class TripleStore {
     return predicates_;
   }
 
-  /// Invoke `fn` for every triple with subject `s` (any predicate).
-  void for_subject(TermId s, const std::function<void(const Triple&)>& fn) const;
-
-  /// Invoke `fn` for every triple with object `o` (any predicate).
-  void for_object(TermId o, const std::function<void(const Triple&)>& fn) const;
-
   /// Invoke `fn(triple)` for every stored triple matching `pattern`,
-  /// choosing the cheapest available index.
+  /// choosing the cheapest available index.  A type-erased wrapper over
+  /// match_each for callers that need one (query layer, tools).
   void match(const TriplePattern& pattern,
              const std::function<void(const Triple&)>& fn) const;
 
-  /// Devirtualized equivalents of for_subject / for_object / match: the
+  /// Invoke `fn` for every triple with subject `s` (any predicate).  The
   /// callback is a template parameter, so the per-triple call is inlined
-  /// with no std::function allocation or indirect branch.  These are the
-  /// hot-path entry points for the forward engine's joins; the
-  /// std::function overloads above are thin wrappers kept for callers that
-  /// need type erasure (query layer, tools).
+  /// with no std::function allocation or indirect branch.
   template <typename Fn>
   void for_subject_each(TermId s, Fn&& fn) const {
     ensure_endpoint_index();
@@ -168,6 +160,7 @@ class TripleStore {
     }
   }
 
+  /// Invoke `fn` for every triple with object `o` (any predicate).
   template <typename Fn>
   void for_object_each(TermId o, Fn&& fn) const {
     ensure_endpoint_index();

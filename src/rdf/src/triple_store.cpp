@@ -122,16 +122,6 @@ void TripleStore::build_endpoint_tail() const {
   endpoint_built_.store(i, std::memory_order_release);
 }
 
-void TripleStore::for_subject(
-    TermId s, const std::function<void(const Triple&)>& fn) const {
-  for_subject_each(s, [&fn](const Triple& t) { fn(t); });
-}
-
-void TripleStore::for_object(
-    TermId o, const std::function<void(const Triple&)>& fn) const {
-  for_object_each(o, [&fn](const Triple& t) { fn(t); });
-}
-
 std::size_t TripleStore::insert_all(std::span<const Triple> ts,
                                     unsigned threads) {
   return insert_all(std::span<const std::span<const Triple>>(&ts, 1),

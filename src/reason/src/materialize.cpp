@@ -127,8 +127,8 @@ QueryDrivenStats query_driven_closure_delta(rdf::TripleStore& store,
     }
     std::vector<rdf::TermId> frontier(affected.begin(), affected.end());
     for (const rdf::TermId n : frontier) {
-      store.for_subject(n, [&](const rdf::Triple& t) { note(t.o); });
-      store.for_object(n, [&](const rdf::Triple& t) { note(t.s); });
+      store.for_subject_each(n, [&](const rdf::Triple& t) { note(t.o); });
+      store.for_object_each(n, [&](const rdf::Triple& t) { note(t.s); });
     }
     mark = end;
     stats.added +=

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "parowl/gen/lubm.hpp"
 #include "parowl/gen/uobm.hpp"
 #include "parowl/parallel/pipeline.hpp"
@@ -41,102 +39,13 @@ class AsyncTest : public ::testing::Test {
   }
 };
 
-TEST_F(AsyncTest, DataPartitionAsyncMatchesSerial) {
-  const partition::GraphOwnerPolicy policy;
-  ParallelOptions opts;
-  opts.partitions = 4;
-  opts.policy = &policy;
-  opts.mode = ExecutionMode::kAsyncSimulated;
-  const ParallelResult result =
-      parallel_materialize(store, dict, vocab, opts);
-  expect_equivalent(result);
-  ASSERT_TRUE(result.async.has_value());
-  EXPECT_GT(result.async->simulated_seconds, 0.0);
-  EXPECT_EQ(result.async->workers.size(), 4u);
-  // Every worker activated at least once (the initial closure).
-  for (const auto& w : result.async->workers) {
-    EXPECT_GE(w.activations, 1u);
-  }
-}
-
 TEST_F(AsyncTest, RulePartitionAsyncMatchesSerial) {
   ParallelOptions opts;
   opts.approach = Approach::kRulePartition;
   opts.partitions = 3;
-  opts.mode = ExecutionMode::kAsyncSimulated;
+  opts.mode = ExecutionMode::kAsync;
   expect_equivalent(parallel_materialize(store, dict, vocab, opts));
 }
-
-TEST_F(AsyncTest, AsyncQueryDrivenMatchesSerial) {
-  const partition::DomainOwnerPolicy policy(&partition::lubm_university_key);
-  ParallelOptions opts;
-  opts.partitions = 2;
-  opts.policy = &policy;
-  opts.local_strategy = reason::Strategy::kQueryDriven;
-  opts.mode = ExecutionMode::kAsyncSimulated;
-  expect_equivalent(parallel_materialize(store, dict, vocab, opts));
-}
-
-TEST_F(AsyncTest, AsyncDeliversTuplesWhenPartitionsInteract) {
-  const partition::HashOwnerPolicy policy;  // heavy cross traffic
-  ParallelOptions opts;
-  opts.partitions = 4;
-  opts.policy = &policy;
-  opts.mode = ExecutionMode::kAsyncSimulated;
-  const ParallelResult result =
-      parallel_materialize(store, dict, vocab, opts);
-  expect_equivalent(result);
-  EXPECT_GT(result.async->deliveries, 0u);
-  std::size_t received = 0;
-  for (const auto& w : result.async->workers) {
-    received += w.received_tuples;
-  }
-  EXPECT_GT(received, 0u);
-}
-
-TEST_F(AsyncTest, SinglePartitionNeverWaits) {
-  const partition::GraphOwnerPolicy policy;
-  ParallelOptions opts;
-  opts.partitions = 1;
-  opts.policy = &policy;
-  opts.mode = ExecutionMode::kAsyncSimulated;
-  const ParallelResult result =
-      parallel_materialize(store, dict, vocab, opts);
-  expect_equivalent(result);
-  EXPECT_DOUBLE_EQ(result.async->wait_seconds, 0.0);
-  EXPECT_EQ(result.async->deliveries, 0u);
-}
-
-TEST_F(AsyncTest, VirtualTimeInvariantsHold) {
-  const partition::HashOwnerPolicy policy;
-  ParallelOptions opts;
-  opts.partitions = 4;
-  opts.policy = &policy;
-  opts.mode = ExecutionMode::kAsyncSimulated;
-  opts.build_merged = false;
-  const ParallelResult result =
-      parallel_materialize(store, dict, vocab, opts);
-  ASSERT_TRUE(result.async.has_value());
-
-  double max_finish = 0.0;
-  for (const AsyncWorkerStats& w : result.async->workers) {
-    // A worker's clock cannot finish before its own busy time.
-    EXPECT_GE(w.finish_time, w.busy_seconds - 1e-12);
-    max_finish = std::max(max_finish, w.finish_time);
-  }
-  EXPECT_DOUBLE_EQ(result.async->simulated_seconds, max_finish);
-  EXPECT_GE(result.async->wait_seconds, 0.0);
-
-  // Conservation: everything sent is eventually received.
-  std::size_t sent = 0, received = 0;
-  for (const AsyncWorkerStats& w : result.async->workers) {
-    sent += w.sent_tuples;
-    received += w.received_tuples;
-  }
-  EXPECT_EQ(sent, received);
-}
-
-// -- kAsync / kAsyncThreaded: the transport-backed asynchronous executor --
 
 TEST_F(AsyncTest, AsyncClusterMatchesSerial) {
   const partition::HashOwnerPolicy policy;
@@ -267,7 +176,7 @@ TEST_F(AsyncTest, AsyncUobmMatchesSerial) {
   ParallelOptions popts;
   popts.partitions = 3;
   popts.policy = &policy;
-  popts.mode = ExecutionMode::kAsyncSimulated;
+  popts.mode = ExecutionMode::kAsync;
   const ParallelResult result = parallel_materialize(uobm, d2, v2, popts);
   ASSERT_TRUE(result.merged.has_value());
   EXPECT_EQ(result.merged->size(), uobm_serial.size());

@@ -77,9 +77,8 @@ const char* mode_name(ExecutionMode m) {
       return "async";
     case ExecutionMode::kAsyncThreaded:
       return "async_threaded";
-    default:
-      return "async_sim";
   }
+  return "";
 }
 
 class MergeEquivalence
@@ -188,8 +187,7 @@ INSTANTIATE_TEST_SUITE_P(
                           Approach::kHybrid),
         ::testing::Values(ExecutionMode::kSequentialSimulated,
                           ExecutionMode::kThreaded, ExecutionMode::kAsync,
-                          ExecutionMode::kAsyncThreaded,
-                          ExecutionMode::kAsyncSimulated)),
+                          ExecutionMode::kAsyncThreaded)),
     [](const ::testing::TestParamInfo<MergeEquivalence::ParamType>& p) {
       return std::string(approach_name(std::get<0>(p.param))) + "_" +
              mode_name(std::get<1>(p.param));

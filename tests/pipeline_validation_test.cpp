@@ -4,6 +4,7 @@
 
 #include "parowl/gen/lubm.hpp"
 #include "parowl/parallel/pipeline.hpp"
+#include "parowl/reason/materialize.hpp"
 
 namespace parowl::parallel {
 namespace {
@@ -61,15 +62,36 @@ TEST_F(PipelineValidationTest, HybridZeroRulePartsThrows) {
                std::invalid_argument);
 }
 
-TEST_F(PipelineValidationTest, AsyncWithExternalTransportThrows) {
+TEST_F(PipelineValidationTest, NonPositiveBandwidthThrows) {
+  ParallelOptions opts;
+  opts.policy = &policy;
+  for (const double bandwidth : {0.0, -1.0}) {
+    opts.network.bandwidth_bytes_per_sec = bandwidth;
+    EXPECT_THROW(parallel_materialize(store, dict, vocab, opts),
+                 std::invalid_argument)
+        << "bandwidth " << bandwidth;
+  }
+}
+
+TEST_F(PipelineValidationTest, AsyncOverExternalTransportMatchesSerial) {
+  rdf::TripleStore serial;
+  serial.insert_all(store.triples());
+  reason::materialize(serial, dict, vocab, {});
+
   MemoryTransport transport(2);
   ParallelOptions opts;
   opts.partitions = 2;
   opts.policy = &policy;
-  opts.mode = ExecutionMode::kAsyncSimulated;
+  opts.mode = ExecutionMode::kAsync;
   opts.transport = &transport;
-  EXPECT_THROW(parallel_materialize(store, dict, vocab, opts),
-               std::invalid_argument);
+  const ParallelResult result =
+      parallel_materialize(store, dict, vocab, opts);
+  ASSERT_TRUE(result.merged.has_value());
+  EXPECT_EQ(result.merged->size(), serial.size());
+  for (const rdf::Triple& t : serial.triples()) {
+    EXPECT_TRUE(result.merged->contains(t));
+  }
+  EXPECT_GT(result.cluster.async_stats.activations, 0u);
 }
 
 }  // namespace

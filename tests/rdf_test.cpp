@@ -146,10 +146,10 @@ TEST(TripleStore, ForSubjectAndObject) {
   s.insert({1, 10, 2});
   s.insert({1, 11, 3});
   std::size_t n = 0;
-  s.for_subject(1, [&n](const Triple&) { ++n; });
+  s.for_subject_each(1, [&n](const Triple&) { ++n; });
   EXPECT_EQ(n, 2u);
   n = 0;
-  s.for_object(3, [&n](const Triple&) { ++n; });
+  s.for_object_each(3, [&n](const Triple&) { ++n; });
   EXPECT_EQ(n, 1u);
 }
 
@@ -326,22 +326,22 @@ TEST(SmallIdList, SpillsPastInlineCapacity) {
 }
 
 TEST(TripleStore, EndpointIndexIsLazyButCoherent) {
-  // for_subject / for_object are served by a lazily built index; probing,
-  // inserting more, and probing again must reflect every insert.
+  // for_subject_each / for_object_each are served by a lazily built index;
+  // probing, inserting more, and probing again must reflect every insert.
   TripleStore s;
   s.insert({1, 2, 3});
   s.insert({1, 4, 5});
   std::size_t n = 0;
-  s.for_subject(1, [&n](const Triple&) { ++n; });
+  s.for_subject_each(1, [&n](const Triple&) { ++n; });
   EXPECT_EQ(n, 2u);
 
   s.insert({1, 6, 7});
   s.insert({8, 9, 1});
   n = 0;
-  s.for_subject(1, [&n](const Triple&) { ++n; });
+  s.for_subject_each(1, [&n](const Triple&) { ++n; });
   EXPECT_EQ(n, 3u);
   n = 0;
-  s.for_object(1, [&n](const Triple&) { ++n; });
+  s.for_object_each(1, [&n](const Triple&) { ++n; });
   EXPECT_EQ(n, 1u);
 
   // Unbound-predicate patterns route through the same lazy index.

@@ -47,7 +47,7 @@ class WorkerTest : public ::testing::Test {
 
 TEST_F(WorkerTest, ComputeLocalClosesAndRoutes) {
   Worker w(0, trans_rules(), std::make_shared<EverythingToRouter>(1),
-           &transport, options());
+           transport, options());
   const std::vector<rdf::Triple> base{{iri("a"), iri("p"), iri("b")},
                                       {iri("b"), iri("p"), iri("c")}};
   w.load(base);
@@ -65,7 +65,7 @@ TEST_F(WorkerTest, ComputeLocalClosesAndRoutes) {
 
 TEST_F(WorkerTest, BaseTuplesAreNeverShipped) {
   Worker w(0, rules::RuleSet{}, std::make_shared<EverythingToRouter>(1),
-           &transport, options());
+           transport, options());
   const std::vector<rdf::Triple> base{{iri("a"), iri("p"), iri("b")}};
   w.load(base);
   const std::vector<Outgoing> out = w.compute_local();
@@ -74,7 +74,7 @@ TEST_F(WorkerTest, BaseTuplesAreNeverShipped) {
 
 TEST_F(WorkerTest, AbsorbedTuplesAreReasonedButNotReshipped) {
   Worker w(0, trans_rules(), std::make_shared<EverythingToRouter>(1),
-           &transport, options());
+           transport, options());
   const std::vector<rdf::Triple> base{{iri("a"), iri("p"), iri("b")}};
   w.load(base);
   (void)w.compute_local();
@@ -91,7 +91,7 @@ TEST_F(WorkerTest, AbsorbedTuplesAreReasonedButNotReshipped) {
 
 TEST_F(WorkerTest, ConsecutiveAbsorbsAllReachTheNextClosure) {
   Worker w(0, trans_rules(), std::make_shared<EverythingToRouter>(1),
-           &transport, options());
+           transport, options());
   w.load(std::vector<rdf::Triple>{});
   (void)w.compute_local();
 
@@ -104,7 +104,7 @@ TEST_F(WorkerTest, ConsecutiveAbsorbsAllReachTheNextClosure) {
 
 TEST_F(WorkerTest, AbsorbDeduplicates) {
   Worker w(0, rules::RuleSet{}, std::make_shared<EverythingToRouter>(1),
-           &transport, options());
+           transport, options());
   const std::vector<rdf::Triple> base{{iri("a"), iri("p"), iri("b")}};
   w.load(base);
   EXPECT_EQ(w.absorb(base), 0u);  // already known
@@ -112,9 +112,9 @@ TEST_F(WorkerTest, AbsorbDeduplicates) {
 
 TEST_F(WorkerTest, RoundStatsAccumulate) {
   Worker w0(0, trans_rules(), std::make_shared<EverythingToRouter>(1),
-            &transport, options());
+            transport, options());
   Worker w1(1, trans_rules(), std::make_shared<EverythingToRouter>(0),
-            &transport, options());
+            transport, options());
   w0.load(std::vector<rdf::Triple>{{iri("a"), iri("p"), iri("b")},
                                    {iri("b"), iri("p"), iri("c")}});
   w1.load(std::vector<rdf::Triple>{});
@@ -135,7 +135,7 @@ TEST_F(WorkerTest, RoundStatsAccumulate) {
 
 TEST_F(WorkerTest, RuleFiringsAccumulateAcrossRounds) {
   Worker w(0, trans_rules(), std::make_shared<EverythingToRouter>(1),
-           &transport, options());
+           transport, options());
   w.load(std::vector<rdf::Triple>{{iri("a"), iri("p"), iri("b")},
                                   {iri("b"), iri("p"), iri("c")}});
   w.compute_and_send(0);  // derives (a p c)
@@ -152,7 +152,7 @@ TEST_F(WorkerTest, RuleFiringsAccumulateAcrossRounds) {
 
 TEST_F(WorkerTest, CheckpointRoundTripRestoresEverything) {
   Worker w(0, trans_rules(), std::make_shared<EverythingToRouter>(1),
-           &transport, options());
+           transport, options());
   w.load(std::vector<rdf::Triple>{{iri("a"), iri("p"), iri("b")},
                                   {iri("b"), iri("p"), iri("c")}});
   w.compute_and_send(0);
@@ -162,7 +162,7 @@ TEST_F(WorkerTest, CheckpointRoundTripRestoresEverything) {
   w.save_checkpoint(buf, 0);
 
   Worker fresh(0, trans_rules(), std::make_shared<EverythingToRouter>(1),
-               &transport, options());
+               transport, options());
   std::uint32_t round = 99;
   std::string error;
   ASSERT_TRUE(fresh.load_checkpoint(buf, &round, &error)) << error;
@@ -187,7 +187,7 @@ TEST_F(WorkerTest, CheckpointRoundTripRestoresEverything) {
 
 TEST_F(WorkerTest, CheckpointDetectsTamperedBytes) {
   Worker w(0, trans_rules(), std::make_shared<EverythingToRouter>(1),
-           &transport, options());
+           transport, options());
   w.load(std::vector<rdf::Triple>{{iri("a"), iri("p"), iri("b")},
                                   {iri("b"), iri("p"), iri("c")}});
   w.compute_and_send(0);
@@ -199,7 +199,7 @@ TEST_F(WorkerTest, CheckpointDetectsTamperedBytes) {
 
   std::stringstream damaged(bytes);
   Worker fresh(0, trans_rules(), std::make_shared<EverythingToRouter>(1),
-               &transport, options());
+               transport, options());
   std::uint32_t round = 0;
   std::string error;
   EXPECT_FALSE(fresh.load_checkpoint(damaged, &round, &error));
@@ -208,7 +208,7 @@ TEST_F(WorkerTest, CheckpointDetectsTamperedBytes) {
 
 TEST_F(WorkerTest, CheckpointDetectsTruncation) {
   Worker w(0, trans_rules(), std::make_shared<EverythingToRouter>(1),
-           &transport, options());
+           transport, options());
   w.load(std::vector<rdf::Triple>{{iri("a"), iri("p"), iri("b")}});
   w.compute_and_send(0);
 
@@ -221,7 +221,7 @@ TEST_F(WorkerTest, CheckpointDetectsTruncation) {
                                 std::size_t{7}, std::size_t{0}}) {
     std::stringstream torn(bytes.substr(0, cut));
     Worker fresh(0, trans_rules(), std::make_shared<EverythingToRouter>(1),
-                 &transport, options());
+                 transport, options());
     EXPECT_FALSE(fresh.load_checkpoint(torn, nullptr, nullptr))
         << "prefix of " << cut << " bytes accepted";
   }
@@ -229,14 +229,14 @@ TEST_F(WorkerTest, CheckpointDetectsTruncation) {
 
 TEST_F(WorkerTest, CheckpointRejectsWrongWorker) {
   Worker w(0, trans_rules(), std::make_shared<EverythingToRouter>(1),
-           &transport, options());
+           transport, options());
   w.load(std::vector<rdf::Triple>{{iri("a"), iri("p"), iri("b")}});
 
   std::stringstream buf;
   w.save_checkpoint(buf, 3);
 
   Worker other(1, trans_rules(), std::make_shared<EverythingToRouter>(0),
-               &transport, options());
+               transport, options());
   std::string error;
   EXPECT_FALSE(other.load_checkpoint(buf, nullptr, &error));
   EXPECT_NE(error.find("different worker"), std::string::npos) << error;

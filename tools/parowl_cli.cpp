@@ -5,7 +5,7 @@
 //   parowl materialize data.nt -o full.snap     compute the OWL-Horst closure
 //   parowl query full.snap 'SELECT ...'         run a SPARQL-subset query
 //   parowl partition data.nt -k 8 --policy graph   partition + metrics
-//   parowl cluster data.nt -k 8 [--approach data|rule|hybrid] [--mode sync|async]
+//   parowl cluster data.nt -k 8 [--approach data|rule|hybrid] [--exec-mode async]
 //   parowl serve-bench full.snap --threads 4       drive the serving layer
 //   parowl serve-dist full.snap --partitions 4 --replicas 2   distributed tier
 //
@@ -17,9 +17,13 @@
 #include <memory>
 #include <sstream>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "parowl/dist/service.hpp"
@@ -78,8 +82,8 @@ commands:
   partition <kb> -k N [--policy graph|hash|lubm|mdc] [partitioner options]
   cluster <kb> -k N [--policy ...] [--approach data|rule|hybrid]
           [partitioner options]
-          [--rule-parts M] [--strategy ...]
-          [--exec-mode sync|threaded|async|async-threaded|async-sim]
+          [--rule-parts M] [--strategy forward|query]
+          [--exec-mode sync|threaded|async|async-threaded]
           [--no-steal] [--steal-batch N] [--chunk N]   (async modes)
           [--faults seed=S,drop=P,dup=P,corrupt=P,delay=P,reorder=P]
           [--checkpoint-dir <dir>]
@@ -276,6 +280,26 @@ class Args {
   }
   std::vector<std::string> args_;
 };
+
+/// The value of option `name` among `choices`; the first choice when the
+/// option is absent.  An unknown value is reported and yields nullopt.
+template <typename T>
+std::optional<T> choice_of(
+    const Args& args, const std::string& name,
+    std::initializer_list<std::pair<std::string_view, T>> choices) {
+  const std::string given =
+      args.option(name, std::string(choices.begin()->first));
+  std::string expected;
+  for (const auto& [label, value] : choices) {
+    if (given == label) {
+      return value;
+    }
+    expected += (expected.empty() ? "" : "|") + std::string(label);
+  }
+  std::cerr << name << ": expected " << expected << ", got '" << given
+            << "'\n";
+  return std::nullopt;
+}
 
 unsigned load_threads_of(const Args& args) {
   return static_cast<unsigned>(
@@ -1144,6 +1168,28 @@ int cmd_cluster(const Args& args) {
   if (path.empty()) {
     return usage();
   }
+  if (!args.option("--mode").empty()) {
+    std::cerr << "--mode is not a cluster option; use --exec-mode\n";
+    return 2;
+  }
+  const auto approach = choice_of<parallel::Approach>(
+      args, "--approach",
+      {{"data", parallel::Approach::kDataPartition},
+       {"rule", parallel::Approach::kRulePartition},
+       {"hybrid", parallel::Approach::kHybrid}});
+  const auto mode = choice_of<parallel::ExecutionMode>(
+      args, "--exec-mode",
+      {{"sync", parallel::ExecutionMode::kSequentialSimulated},
+       {"threaded", parallel::ExecutionMode::kThreaded},
+       {"async", parallel::ExecutionMode::kAsync},
+       {"async-threaded", parallel::ExecutionMode::kAsyncThreaded}});
+  const auto strategy = choice_of<reason::Strategy>(
+      args, "--strategy",
+      {{"forward", reason::Strategy::kForward},
+       {"query", reason::Strategy::kQueryDriven}});
+  if (!approach || !mode || !strategy) {
+    return 2;
+  }
   rdf::Dictionary dict;
   rdf::TripleStore store;
   const auto partitions = static_cast<std::uint32_t>(
@@ -1181,28 +1227,13 @@ int cmd_cluster(const Args& args) {
   opts.obs = obs_options_from(args);
   opts.rule_partitions = static_cast<std::uint32_t>(
       std::stoul(args.option("--rule-parts", "2")));
-  const std::string approach = args.option("--approach", "data");
-  opts.approach = approach == "rule"     ? parallel::Approach::kRulePartition
-                  : approach == "hybrid" ? parallel::Approach::kHybrid
-                                         : parallel::Approach::kDataPartition;
-  // --exec-mode is the full selector; legacy --mode sync|async|threaded
-  // keeps meaning what it always did (async = the event simulator).
-  const std::string legacy = args.option("--mode", "sync");
-  const std::string mode = args.option(
-      "--exec-mode", legacy == "async" ? "async-sim" : legacy);
-  opts.mode = mode == "async"            ? parallel::ExecutionMode::kAsync
-              : mode == "async-threaded" ? parallel::ExecutionMode::kAsyncThreaded
-              : mode == "async-sim"  ? parallel::ExecutionMode::kAsyncSimulated
-              : mode == "threaded"
-                  ? parallel::ExecutionMode::kThreaded
-                  : parallel::ExecutionMode::kSequentialSimulated;
+  opts.approach = *approach;
+  opts.mode = *mode;
+  opts.local_strategy = *strategy;
   opts.async_exec.steal = !args.flag("--no-steal");
   opts.async_exec.steal_batch =
       std::stoul(args.option("--steal-batch", "256"));
   opts.async_exec.chunk = std::stoul(args.option("--chunk", "256"));
-  if (args.option("--strategy") == "query") {
-    opts.local_strategy = reason::Strategy::kQueryDriven;
-  }
   std::unique_ptr<partition::OwnerPolicy> policy;
   if (bootstrap) {
     partition::PartitionPlan plan = bootstrap->finalize();
@@ -1233,59 +1264,43 @@ int cmd_cluster(const Args& args) {
   std::cout << "inferred " << r.inferred << " triples with "
             << r.cluster.results_per_partition.size() << " workers\n"
             << "simulated parallel time: "
-            << util::format_seconds(r.cluster.simulated_seconds) << "\n";
-  if (r.async) {
-    std::cout << "async: " << r.async->deliveries << " deliveries, wait "
-              << util::format_seconds(r.async->wait_seconds) << "\n";
-  } else {
-    std::cout << "rounds: " << r.cluster.rounds
-              << "  (reason " << util::format_seconds(r.cluster.reason_seconds)
-              << ", io " << util::format_seconds(r.cluster.io_seconds)
-              << ", sync " << util::format_seconds(r.cluster.sync_seconds)
-              << ")\n";
-    if (opts.mode == parallel::ExecutionMode::kAsync ||
-        opts.mode == parallel::ExecutionMode::kAsyncThreaded) {
-      const parallel::AsyncStats& st = r.cluster.async_stats;
-      std::cout << "async: " << st.activations << " activations, "
-                << st.steals << " steals (" << st.stolen_tuples
-                << " tuples, " << st.steal_derivations << " derived), "
-                << st.token_epochs << " token epochs, "
-                << st.token_passes << " passes, idle "
-                << util::format_seconds(st.idle_seconds) << "\n";
-    }
+            << util::format_seconds(r.cluster.simulated_seconds) << "\n"
+            << "rounds: " << r.cluster.rounds
+            << "  (reason " << util::format_seconds(r.cluster.reason_seconds)
+            << ", io " << util::format_seconds(r.cluster.io_seconds)
+            << ", sync " << util::format_seconds(r.cluster.sync_seconds)
+            << ")\n";
+  if (opts.mode == parallel::ExecutionMode::kAsync ||
+      opts.mode == parallel::ExecutionMode::kAsyncThreaded) {
+    const parallel::AsyncStats& st = r.cluster.async_stats;
+    std::cout << "async: " << st.activations << " activations, "
+              << st.steals << " steals (" << st.stolen_tuples
+              << " tuples, " << st.steal_derivations << " derived), "
+              << st.token_epochs << " token epochs, "
+              << st.token_passes << " passes, idle "
+              << util::format_seconds(st.idle_seconds) << "\n";
   }
   if (r.metrics) {
     std::cout << "IR=" << util::fmt_double(r.metrics->input_replication, 3)
               << " OR=" << util::fmt_double(r.output_replication, 3) << "\n";
   }
   if (!faults_arg.empty() || !opts.checkpoint.dir.empty()) {
-    if (r.async) {
-      std::cout << "faults: injected " << r.async->injected.total()
-                << " (drop " << r.async->injected.drops << ", dup "
-                << r.async->injected.duplicates << ", corrupt "
-                << r.async->injected.corruptions << ", delay "
-                << r.async->injected.delays << ", reorder "
-                << r.async->injected.reorders << "), retries "
-                << r.async->retries << ", retry time "
-                << util::format_seconds(r.async->retry_seconds) << "\n";
-    } else {
-      const parallel::RunReport& rep = r.cluster.report;
-      std::cout << "faults: injected " << rep.injected.total() << " (drop "
-                << rep.injected.drops << ", dup " << rep.injected.duplicates
-                << ", corrupt " << rep.injected.corruptions << ", delay "
-                << rep.injected.delays << ", reorder "
-                << rep.injected.reorders << ")\n"
-                << "delivery: " << rep.batches_sent << " batches, "
-                << rep.retransmissions << " retransmissions, "
-                << rep.redeliveries << " redeliveries, "
-                << rep.checksum_failures << " checksum failures, backoff "
-                << util::format_seconds(rep.backoff_seconds) << "\n"
-                << "checkpoints: " << rep.checkpoints_written << " written";
-      if (rep.recovered) {
-        std::cout << ", recovered from round " << rep.recovered_from_round;
-      }
-      std::cout << "\n";
+    const parallel::RunReport& rep = r.cluster.report;
+    std::cout << "faults: injected " << rep.injected.total() << " (drop "
+              << rep.injected.drops << ", dup " << rep.injected.duplicates
+              << ", corrupt " << rep.injected.corruptions << ", delay "
+              << rep.injected.delays << ", reorder "
+              << rep.injected.reorders << ")\n"
+              << "delivery: " << rep.batches_sent << " batches, "
+              << rep.retransmissions << " retransmissions, "
+              << rep.redeliveries << " redeliveries, "
+              << rep.checksum_failures << " checksum failures, backoff "
+              << util::format_seconds(rep.backoff_seconds) << "\n"
+              << "checkpoints: " << rep.checkpoints_written << " written";
+    if (rep.recovered) {
+      std::cout << ", recovered from round " << rep.recovered_from_round;
     }
+    std::cout << "\n";
   }
   return 0;
 }
